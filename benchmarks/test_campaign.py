@@ -3,8 +3,8 @@
 One campaign runs over a local packed library and an identically-configured
 twin runs over an HTTP replica pair (``open_reader("http://a,http://b")``).
 The measurements — generations/sec, scores/sec, records written per
-generation — land in ``BENCH_campaign.json`` (repo root, plus a copy under
-``benchmarks/results/``).
+generation — land in ``benchmarks/results/BENCH_campaign.json``
+(git-ignored, so test runs leave the tree clean).
 
 Like every benchmark here, assertions gate on *parity* (the HTTP campaign
 produces byte-identical generation libraries, stats and top-hits to the
@@ -29,7 +29,6 @@ from repro.metrics.reporting import ResultTable
 from repro.server import BackgroundServer
 
 #: Machine-readable campaign-throughput record (committed perf trajectory).
-BENCH_CAMPAIGN_PATH = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
 
 #: (population, generations, immigrants) per benchmark scale.
 SCALE_PRESETS = {
@@ -132,7 +131,6 @@ def test_campaign_throughput_local_and_http(campaign_source, report, results_dir
         "parity": "byte-identical",
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    BENCH_CAMPAIGN_PATH.write_text(text, encoding="utf-8")
     (results_dir / "BENCH_campaign.json").write_text(text, encoding="utf-8")
 
     table = ResultTable(

@@ -1,8 +1,8 @@
 """Curation subsystem benchmark: ingest, single-pass training, re-pack.
 
 One run measures the three legs of the curation loop and lands the numbers
-in ``BENCH_curation.json`` (repo root, plus a copy under
-``benchmarks/results/``):
+in ``benchmarks/results/BENCH_curation.json`` (git-ignored, so test runs
+leave the tree clean):
 
 * **ingest** — lines/sec through the full filter + dedup pipeline over a
   duplicate-heavy synthetic dump;
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -41,7 +40,6 @@ from repro.library import CorpusLibrary, pack_library
 from repro.metrics.reporting import ResultTable
 
 #: Machine-readable curation-throughput record (committed perf trajectory).
-BENCH_CURATION_PATH = Path(__file__).resolve().parent.parent / "BENCH_curation.json"
 
 #: Each unique record appears this many times in the synthetic dump.
 DUPLICATION = 4
@@ -160,7 +158,6 @@ def test_curation_loop_throughput(
         "parity": "byte-identical",
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    BENCH_CURATION_PATH.write_text(text, encoding="utf-8")
 
     table = ResultTable(
         title="Curation loop: ingest -> train -> repack",

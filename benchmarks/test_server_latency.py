@@ -2,9 +2,10 @@
 
 N concurrent blocking clients hammer one :class:`CorpusServer` over loopback
 in three modes — single-get, batched get, and chunked range streaming — and
-the measurements land in ``BENCH_server.json`` (repo root, plus a copy under
-``benchmarks/results/``): the machine-readable latency trajectory of the
-network tier, next to ``BENCH_codec.json``'s codec trajectory.
+the measurements land in ``benchmarks/results/BENCH_server.json``
+(git-ignored, so test runs leave the tree clean): the machine-readable
+latency trajectory of the network tier, next to ``BENCH_codec.json``'s
+codec trajectory.
 
 Like every benchmark here, assertions gate on *parity* (every byte a client
 receives equals a direct :class:`CorpusLibrary` read) and on the run
@@ -32,7 +33,7 @@ from repro.metrics.reporting import ResultTable
 from repro.server import BackgroundServer, CorpusClient, ServerFleet
 
 #: Machine-readable server-latency record (committed perf trajectory).
-BENCH_SERVER_PATH = Path(__file__).resolve().parent.parent / "BENCH_server.json"
+BENCH_SERVER_PATH = Path(__file__).resolve().parent / "results" / "BENCH_server.json"
 
 #: Concurrent clients hammering the server (the acceptance bar is >= 8).
 CLIENTS = 8
@@ -119,11 +120,9 @@ def _mode(seconds: float, requests: int, records: int) -> dict:
     }
 
 
-def _merge_bench_payload(update: dict) -> str:
-    """Merge *update* into BENCH_server.json, keeping keys the other test
-    wrote (the loopback and worker-scaling tests co-own the file).  Returns
-    the serialized text so callers can mirror it under benchmarks/results/.
-    """
+def _merge_bench_payload(update: dict) -> None:
+    """Merge *update* into benchmarks/results/BENCH_server.json, keeping
+    keys the other tests wrote (the server tests co-own the file)."""
     merged: dict = {}
     if BENCH_SERVER_PATH.exists():
         try:
@@ -133,7 +132,6 @@ def _merge_bench_payload(update: dict) -> str:
     merged.update(update)
     text = json.dumps(merged, indent=2, sort_keys=True) + "\n"
     BENCH_SERVER_PATH.write_text(text, encoding="utf-8")
-    return text
 
 
 def test_loopback_concurrent_load(server, served_library, serving_corpus, report,
@@ -202,7 +200,7 @@ def test_loopback_concurrent_load(server, served_library, serving_corpus, report
         "cache": stats["cache"],
         "parity": "byte-identical",
     }
-    text = _merge_bench_payload(payload)
+    _merge_bench_payload(payload)
 
     table = ResultTable(
         title=f"HTTP serving front: {CLIENTS} concurrent loopback clients",
@@ -216,7 +214,6 @@ def test_loopback_concurrent_load(server, served_library, serving_corpus, report
         f"batches of {BATCH_SIZE}; streams of {stream_span}."
     )
     report("server_latency", table)
-    (results_dir / "BENCH_server.json").write_text(text, encoding="utf-8")
 
 
 def test_worker_scaling_curve(served_library, serving_corpus, report, results_dir):
@@ -253,7 +250,7 @@ def test_worker_scaling_curve(served_library, serving_corpus, report, results_di
             entry["dispatch"] = fleet.mode
             curve[str(workers)] = entry
 
-    text = _merge_bench_payload({
+    _merge_bench_payload({
         "worker_scaling": {
             "clients": CLIENTS,
             "requests_per_point": requests,
@@ -262,7 +259,6 @@ def test_worker_scaling_curve(served_library, serving_corpus, report, results_di
             "parity": "byte-identical",
         },
     })
-    (results_dir / "BENCH_server.json").write_text(text, encoding="utf-8")
 
     table = ResultTable(
         title=f"Fleet scaling: {CLIENTS} clients vs --workers "
@@ -331,8 +327,7 @@ def test_hot_set_access_mix(server, served_library, serving_corpus, report,
     entry["hot_fraction"] = 0.05
     entry["hot_weight"] = 0.8
     entry["cache_delta"] = {"hits": delta_hits, "misses": delta_misses}
-    text = _merge_bench_payload({"hot_set_mix": entry})
-    (results_dir / "BENCH_server.json").write_text(text, encoding="utf-8")
+    _merge_bench_payload({"hot_set_mix": entry})
 
     table = ResultTable(
         title=f"Hot-set access mix: {CLIENTS} clients, 80% of gets on the "
@@ -422,8 +417,7 @@ def test_telemetry_overhead_parity(served_library, serving_corpus, report,
                           REQUESTS_PER_CLIENT),
         "parity": "byte-identical",
     }
-    text = _merge_bench_payload({"telemetry_overhead": entry})
-    (results_dir / "BENCH_server.json").write_text(text, encoding="utf-8")
+    _merge_bench_payload({"telemetry_overhead": entry})
 
     table = ResultTable(
         title="Telemetry overhead: instrumented vs ZSMILES_TELEMETRY=off",

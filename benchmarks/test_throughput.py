@@ -8,8 +8,8 @@ random-access reads.
 
 ``test_codec_kernel_vs_reference`` additionally records the flat-array
 kernel's batch throughput against the reference per-line path in
-``BENCH_codec.json`` (repo root, plus a copy under ``benchmarks/results/``) —
-the machine-readable perf trajectory of the codec hot loop.  It asserts byte
+``benchmarks/results/BENCH_codec.json`` (git-ignored, so test runs leave
+the tree clean) — the machine-readable perf trajectory of the codec hot loop.  It asserts byte
 parity, never timings, so CI can run it at smoke scale without flaking.
 """
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +29,6 @@ from repro.engine import ZSmilesEngine
 from repro.preprocess.ring_renumber import renumber_rings
 
 #: Machine-readable codec-throughput record (committed perf trajectory).
-BENCH_CODEC_PATH = Path(__file__).resolve().parent.parent / "BENCH_codec.json"
 
 
 @pytest.fixture(scope="module")
@@ -160,12 +158,12 @@ def test_codec_kernel_vs_reference(shared_codec, corpus, scale, results_dir):
         "parity": "byte-identical",
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    BENCH_CODEC_PATH.write_text(text, encoding="utf-8")
-    (results_dir / "BENCH_codec.json").write_text(text, encoding="utf-8")
+    bench_path = results_dir / "BENCH_codec.json"
+    bench_path.write_text(text, encoding="utf-8")
     print(
         f"\ncodec kernel vs reference: compress {payload['compress']['speedup']}x, "
         f"decompress {payload['decompress']['speedup']}x "
-        f"({len(sample)} lines) -> {BENCH_CODEC_PATH.name}"
+        f"({len(sample)} lines) -> {bench_path}"
     )
 
 

@@ -26,7 +26,8 @@ Select the oracle with ``EngineConfig(parser="reference")`` (routes ``auto``
 batches and pool workers through it) or per call with
 ``compress_batch(..., backend="serial")``.  Parity is enforced by
 ``tests/engine/test_kernel.py``, the golden fixtures and a hypothesis suite;
-``benchmarks/test_throughput.py`` records the speedup in ``BENCH_codec.json``.
+``benchmarks/test_throughput.py`` records the speedup in
+``benchmarks/results/BENCH_codec.json``.
 """
 
 from .backends import (

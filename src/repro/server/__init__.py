@@ -3,21 +3,33 @@
 ``repro.server`` turns a packed corpus — any layout
 :meth:`~repro.library.CorpusLibrary.open` accepts — into a service, the
 fourth tier of the serving ladder documented in :mod:`repro.library`
-(flat → ``.zss`` → sharded library → **HTTP**):
+(flat → ``.zss`` → sharded library → **HTTP**).  HTTP/1.1 is spoken in one
+place, a sans-IO core, under thin I/O drivers:
 
-* :class:`CorpusServer` (:mod:`repro.server.app`) — stdlib ``asyncio``
-  HTTP/1.1 server mounting an :class:`~repro.library.AsyncCorpusLibrary`;
-  the bounded reader pool is the backpressure.  Endpoints: ``/healthz``,
-  ``/stats``, ``/records/{i}``, ``/records:batch``, and the chunked
-  ``/records?start=&stop=`` range stream.
-* :mod:`repro.server.protocol` — the wire schema both sides share: routes,
-  content types, body limits, and the JSON error envelope that maps
-  :mod:`repro.errors` to HTTP statuses *and back*.
-* :class:`CorpusClient` (:mod:`repro.server.client`) — blocking
-  ``http.client`` consumer mirroring the
+* :mod:`repro.server.wire` — the core: bytes in, events out, no I/O.  The
+  one incremental HTTP/1.1 parser (requests and responses) and head
+  encoder; every client endpoint's request and answer decoding; the range
+  stream record decoder; and the failover decisions (rotation, retry
+  classification, stream resume) as a pure state machine.
+* :mod:`repro.server.protocol` — the wire schema: routes, content types,
+  body limits, deflate negotiation, strict integers, and the JSON error
+  envelope that maps :mod:`repro.errors` to HTTP statuses *and back*.
+* :class:`CorpusServer` (:mod:`repro.server.app`) — the asyncio server
+  driver: it feeds the core's parser from ``asyncio`` streams and writes
+  the core's heads, mounting an :class:`~repro.library.AsyncCorpusLibrary`
+  whose bounded reader pool is the backpressure.  Endpoints: ``/healthz``,
+  ``/stats``, ``/metrics``, ``/records/{i}``, ``/records:batch``,
+  ``/records:sample`` and the chunked ``/records?start=&stop=`` stream.
+* :class:`CorpusClient` / :class:`FailoverCorpusClient`
+  (:mod:`repro.server.client`) — the blocking-socket driver, mirroring the
   :class:`~repro.store.protocol.RecordReader` protocol, so
-  :func:`repro.store.open_reader` serves ``http://`` URLs to existing
-  consumers (screening, dataset loaders, the CLI) with no call-site change.
+  :func:`repro.store.open_reader` serves ``http://`` URLs (one, or a
+  comma-separated replica list) to existing consumers (screening, dataset
+  loaders, the CLI) with no call-site change.
+* :class:`AsyncCorpusClient` / :class:`AsyncFailoverCorpusClient`
+  (:mod:`repro.server.async_client`) — the asyncio-streams driver of the
+  same core, for event-loop consumers; it behaves exactly as the blocking
+  clients do.
 * :class:`BackgroundServer` / :func:`run_server` — the thread-hosted and
   foreground (``zsmiles serve``) lifecycles, both with graceful, draining
   shutdown.
@@ -27,19 +39,16 @@ fourth tier of the serving ladder documented in :mod:`repro.library`
   ``SO_REUSEPORT`` kernel load-balancing where available and a parent
   round-robin TCP proxy everywhere else.  A SIGKILLed worker drops out of
   rotation; survivors keep serving.
-* :class:`FailoverCorpusClient` / :class:`AsyncFailoverCorpusClient` —
-  replica-aware clients over several server URLs: round-robin routing,
-  failover on retryable outcomes (connection loss, HTTP 503 — see
-  :func:`repro.server.protocol.is_retryable`), immediate propagation of
-  fatal typed errors, and mid-stream resume at the first undelivered
-  record.
-* :class:`AsyncCorpusClient` (:mod:`repro.server.async_client`) — the
-  asyncio twin of :class:`CorpusClient` for event-loop consumers.
 * :class:`RetryPolicy` (:mod:`repro.server.retry`) — the one retry
   discipline every client and the campaign driver share: attempts,
   exponential backoff with jitter, optional total deadline.  Pass it as
   ``retry=`` to any client (or :func:`repro.store.open_reader`) to tune
   how hard transient failures are ridden out.
+
+The failover clients round-robin over replica URLs, fail over on retryable
+outcomes (connection loss, HTTP 503, block corruption — see
+:func:`repro.server.protocol.is_retryable`), propagate fatal typed errors
+immediately, and resume range streams at the first undelivered record.
 
 Observability (see :mod:`repro.telemetry`): every server and fleet worker
 exposes ``GET /metrics`` (Prometheus text; a fleet scrape is aggregated

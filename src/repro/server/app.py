@@ -34,14 +34,13 @@ all use to stand a server up next to blocking client code.
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 import threading
 import time
 import urllib.parse
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.codec import ZSmilesCodec
 from ..errors import ProtocolError, ReproError, ServerError
@@ -50,7 +49,7 @@ from ..store.reader import DEFAULT_CACHE_BLOCKS
 from ..telemetry import metrics as _metrics
 from ..telemetry import tracing as _tracing
 from ..telemetry.logs import AccessLogger, open_access_log
-from . import protocol
+from . import protocol, wire
 
 PathLike = Union[str, Path]
 
@@ -60,8 +59,6 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
 #: Seconds in-flight requests get to finish during a graceful shutdown.
 DEFAULT_GRACE = 10.0
-
-_REQUEST_METHODS = ("GET", "POST")
 
 
 class _ConnectionAbort(Exception):
@@ -77,33 +74,31 @@ class _Request:
     """One parsed HTTP request (the few fields the routes need)."""
 
     __slots__ = (
-        "method", "path", "query", "headers", "body",
+        "method", "path", "query", "headers", "body", "keep_alive",
         "request_id", "route", "status", "response_bytes",
     )
 
-    def __init__(
-        self,
-        method: str,
-        path: str,
-        query: Dict[str, str],
-        headers: Dict[str, str],
-        body: bytes,
-    ):
-        self.method = method
-        self.path = path
-        self.query = query
-        self.headers = headers
-        self.body = body
-        # Telemetry bookkeeping, filled in as the request travels:
-        # the adopted/minted id, the route label, and what went out.
-        self.request_id: Optional[str] = None
+    def __init__(self, head: wire.Head):
+        target = urllib.parse.urlsplit(head.target or "")
+        self.method = head.method
+        self.path = target.path
+        self.query = dict(urllib.parse.parse_qsl(target.query, keep_blank_values=True))
+        self.headers = head.headers
+        self.body = head.body
+        self.keep_alive = head.keep_alive
+        # Adopt the caller's request id (X-Request-Id, falling back to
+        # X-Trace-Id) or mint one: every response and log line carries it,
+        # so a client-side trace matches server-side.
+        self.request_id: str = (
+            self.headers.get("x-request-id")
+            or self.headers.get("x-trace-id")
+            or _tracing.new_trace_id()
+        )
+        # Telemetry bookkeeping, filled in as the request travels: the
+        # route label and what went out.
         self.route = "other"
         self.status = 0
         self.response_bytes = 0
-
-    @property
-    def keep_alive(self) -> bool:
-        return self.headers.get("connection", "keep-alive").lower() != "close"
 
 
 class CorpusServer:
@@ -276,17 +271,13 @@ class CorpusServer:
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
+        parser = wire.Parser(requests=True)
         try:
             while not self._closing:
                 try:
-                    request = await self._read_request(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    # readline() reports an over-limit request line / header
-                    # as ValueError (it swallows the LimitOverrunError).
-                    await self._write_error(writer, ProtocolError("request line/header too long"))
-                    break
+                    request = await self._read_request(reader, parser)
+                except (wire.IncompleteMessage, ConnectionError):
+                    break  # the peer went away mid-request: nobody to answer
                 except ProtocolError as exc:
                     # A framing error leaves the stream unsynchronized; answer
                     # and close rather than misparse the next request.
@@ -294,21 +285,13 @@ class CorpusServer:
                     break
                 if request is None:  # clean EOF between requests
                     break
-                # Adopt the caller's request id (X-Request-Id, falling back
-                # to X-Trace-Id) or mint one: every response and log line
-                # carries it, so a client-side trace matches server-side.
-                request.request_id = (
-                    request.headers.get("x-request-id")
-                    or request.headers.get("x-trace-id")
-                    or _tracing.new_trace_id()
-                )
-                keep_alive = request.keep_alive and not self._closing
+                request.keep_alive = request.keep_alive and not self._closing
                 if task is not None:
                     self._busy.add(task)
                 started = time.perf_counter()
                 try:
                     try:
-                        await self._dispatch(request, writer, keep_alive)
+                        await self._dispatch(request, writer)
                     except (ConnectionError, asyncio.CancelledError):
                         raise
                     except _ConnectionAbort:
@@ -318,19 +301,18 @@ class CorpusServer:
                     except ReproError as exc:
                         self.counters["errors"] += 1
                         self._metric_errors.labels(type(exc).__name__).inc()
-                        await self._write_error(writer, exc, keep_alive, request)
+                        await self._write_error(writer, exc, request)
                     except Exception as exc:  # noqa: BLE001 — envelope, don't kill the loop
                         self.counters["errors"] += 1
                         self._metric_errors.labels(type(exc).__name__).inc()
-                        await self._write_error(
-                            writer, ServerError(f"internal error: {exc}"), False, request
-                        )
+                        request.keep_alive = False
+                        await self._write_error(writer, ServerError(f"internal error: {exc}"), request)
                         break
                 finally:
                     if task is not None:
                         self._busy.discard(task)
                     self._finish_request(request, started)
-                if not keep_alive:
+                if not request.keep_alive:
                     break
         except (asyncio.CancelledError, ConnectionError):
             pass  # shutdown tear-down, or the peer vanished mid-write
@@ -343,86 +325,51 @@ class CorpusServer:
             except (ConnectionError, asyncio.CancelledError):
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader) -> Optional[_Request]:
-        """Parse one HTTP/1.1 request; ``None`` on clean EOF."""
-        line = await reader.readline()
-        if not line:
-            return None
-        try:
-            method, target, version = line.decode("ascii").split()
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ProtocolError(f"malformed request line: {line[:80]!r}") from exc
-        if method not in _REQUEST_METHODS:
-            raise ProtocolError(f"unsupported method {method!r}")
-        if not version.startswith("HTTP/1."):
-            raise ProtocolError(f"unsupported protocol version {version!r}")
-        headers: Dict[str, str] = {}
-        header_lines = 0
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            # Count lines read, not dict entries: repeated names overwrite
-            # their dict slot, so len(headers) would never trip the guard.
-            header_lines += 1
-            if header_lines > 100:
-                raise ProtocolError("too many headers")
-            try:
-                name, _, value = raw.decode("latin-1").partition(":")
-            except UnicodeDecodeError as exc:  # pragma: no cover — latin-1 total
-                raise ProtocolError("undecodable header") from exc
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        if "content-length" in headers:
-            try:
-                length = int(headers["content-length"])
-            except ValueError as exc:
-                raise ProtocolError("content-length is not an integer") from exc
-            if length < 0 or length > protocol.MAX_BODY_BYTES:
-                raise ProtocolError(
-                    f"body of {length} bytes exceeds the {protocol.MAX_BODY_BYTES} cap"
-                )
-            body = await reader.readexactly(length)
-        parsed = urllib.parse.urlsplit(target)
-        query = dict(urllib.parse.parse_qsl(parsed.query, keep_blank_values=True))
-        return _Request(method, parsed.path, query, headers, body)
+    async def _read_request(
+        self, reader: asyncio.StreamReader, parser: wire.Parser
+    ) -> Optional[_Request]:
+        """The connection's next request (:mod:`~repro.server.wire` parses
+        it); ``None`` once the peer closed cleanly between requests."""
+        message = parser.next_message()
+        while message is wire.Event.NEED_DATA:
+            parser.feed(await reader.read(wire.RECV_BYTES))
+            message = parser.next_message()
+        return _Request(message) if isinstance(message, wire.Head) else None
 
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
-    async def _dispatch(
-        self, request: _Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
+    async def _dispatch(self, request: _Request, writer: asyncio.StreamWriter) -> None:
         self.counters["requests"] += 1
         path = request.path
         if path == protocol.ROUTE_HEALTH:
             self.counters["healthz"] += 1
             request.route = "healthz"
-            await self._write_json(writer, self._health_payload(), keep_alive, request)
+            await self._write_json(writer, self._health_payload(), request)
         elif path == protocol.ROUTE_STATS:
             self.counters["stats"] += 1
             request.route = "stats"
-            await self._handle_stats(request, writer, keep_alive)
+            await self._handle_stats(request, writer)
         elif path == protocol.ROUTE_METRICS:
             self.counters["metrics"] += 1
             request.route = "metrics"
-            await self._handle_metrics(request, writer, keep_alive)
+            await self._handle_metrics(request, writer)
         elif path == protocol.ROUTE_BATCH:
             request.route = "batch"
             if request.method != "POST":
                 raise ProtocolError(f"{path} requires POST, got {request.method}")
-            await self._handle_batch(request, writer, keep_alive)
+            await self._handle_batch(request, writer)
         elif path == protocol.ROUTE_SAMPLE:
             request.route = "sample"
             if request.method != "GET":
                 raise ProtocolError(f"{path} requires GET, got {request.method}")
-            await self._handle_sample(request, writer, keep_alive)
+            await self._handle_sample(request, writer)
         elif path.startswith(protocol.RECORD_PREFIX):
             request.route = "single"
-            await self._handle_single(request, writer, keep_alive)
+            await self._handle_single(request, writer)
         elif path == protocol.ROUTE_RECORDS:
             request.route = "stream"
-            await self._handle_stream(request, writer, keep_alive)
+            await self._handle_stream(request, writer)
         else:
             self.counters["errors"] += 1
             self._metric_errors.labels("NotFound").inc()
@@ -431,40 +378,23 @@ class CorpusServer:
                     "type": "NotFound",
                     "message": f"no route {path}",
                     "status": 404,
+                    "request_id": request.request_id,
                 }
             }
-            if request.request_id is not None:
-                envelope["error"]["request_id"] = request.request_id
-            status, body = 404, protocol.encode_json(envelope)
-            await self._write_response(
-                writer, status, body, protocol.CONTENT_TYPE_JSON, keep_alive,
-                request=request,
-            )
+            body = protocol.encode_json(envelope)
+            await self._write_response(writer, 404, body, protocol.CONTENT_TYPE_JSON, request)
 
-    async def _handle_single(
-        self, request: _Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
+    async def _handle_single(self, request: _Request, writer: asyncio.StreamWriter) -> None:
         raw = request.path[len(protocol.RECORD_PREFIX):]
-        try:
-            index = int(raw)
-        except ValueError as exc:
-            raise ProtocolError(f"record index must be an integer, got {raw!r}") from exc
+        index = protocol.parse_query_int("record index", raw)
         record = await self.library.get(index)
         self.counters["single"] += 1
         self.counters["records_served"] += 1
         self._metric_records.inc()
-        await self._write_response(
-            writer,
-            200,
-            record.encode("utf-8"),
-            protocol.CONTENT_TYPE_TEXT,
-            keep_alive,
-            request=request,
-        )
+        body = record.encode("utf-8")
+        await self._write_response(writer, 200, body, protocol.CONTENT_TYPE_TEXT, request)
 
-    async def _handle_batch(
-        self, request: _Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
+    async def _handle_batch(self, request: _Request, writer: asyncio.StreamWriter) -> None:
         indices = protocol.parse_batch_request(request.body)
         records = await self.library.get_many(indices)
         self.counters["batch"] += 1
@@ -476,18 +406,10 @@ class CorpusServer:
         if encoding:
             self.counters["deflated"] += 1
         await self._write_response(
-            writer,
-            200,
-            body,
-            protocol.CONTENT_TYPE_TEXT,
-            keep_alive,
-            content_encoding=encoding,
-            request=request,
+            writer, 200, body, protocol.CONTENT_TYPE_TEXT, request, encoding
         )
 
-    async def _handle_sample(
-        self, request: _Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
+    async def _handle_sample(self, request: _Request, writer: asyncio.StreamWriter) -> None:
         """Uniform random records without replacement, seedable.
 
         The draw is over *indices* (cheap even for huge corpora); records
@@ -502,16 +424,10 @@ class CorpusServer:
         self.counters["sample"] += 1
         self.counters["records_served"] += len(records)
         self._metric_records.inc(len(records))
-        await self._write_json(
-            writer,
-            protocol.sample_payload(indices, records, len(self.library), seed),
-            keep_alive,
-            request,
-        )
+        payload = protocol.sample_payload(indices, records, len(self.library), seed)
+        await self._write_json(writer, payload, request)
 
-    async def _handle_stream(
-        self, request: _Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
+    async def _handle_stream(self, request: _Request, writer: asyncio.StreamWriter) -> None:
         """Range streaming over chunked transfer encoding.
 
         Each chunk is one reader-pool batch, so a slow consumer only ever
@@ -524,35 +440,26 @@ class CorpusServer:
         # the range's size is unknown up front and streams are the bulk
         # path).  One zlib stream spans the whole response; every chunk is
         # sync-flushed so records decoded before a mid-stream death are
-        # still deliverable — the compressed twin of the read1 guarantee.
+        # still deliverable, exactly as on an identity stream.
         compressor = None
         if protocol.accepts_deflate(request.headers):
             compressor = zlib.compressobj(protocol.COMPRESS_LEVEL)
             self.counters["deflated"] += 1
-        headers = (
-            f"HTTP/1.1 200 {protocol.STATUS_REASONS[200]}\r\n"
-            f"Content-Type: {protocol.CONTENT_TYPE_TEXT}\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            + (
-                f"Content-Encoding: {protocol.CONTENT_ENCODING_DEFLATE}\r\n"
-                if compressor is not None
-                else ""
-            )
-            + (
-                f"{_tracing.HEADER_REQUEST_ID}: {request.request_id}\r\n"
-                if request.request_id is not None
-                else ""
-            )
-            + f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        )
         request.status = 200
-        writer.write(headers.encode("ascii"))
+        writer.write(
+            wire.response_head(
+                200,
+                protocol.CONTENT_TYPE_TEXT,
+                encoding=protocol.CONTENT_ENCODING_DEFLATE if compressor is not None else None,
+                request_id=request.request_id,
+                keep_alive=request.keep_alive,
+            )
+        )
         # From here the response is on the wire: a failure can no longer be
         # answered with an error envelope (it would be injected into the
         # chunked body and desynchronize the framing), so it aborts the
         # connection instead — the truncated stream is the client's signal
-        # (CorpusClient raises ServerConnectionError on it).
+        # (the clients raise ServerConnectionError on it).
         try:
             cursor = start
             while cursor < stop:
@@ -564,9 +471,7 @@ class CorpusServer:
                         zlib.Z_SYNC_FLUSH
                     )
                 if payload:
-                    writer.write(
-                        f"{len(payload):x}\r\n".encode("ascii") + payload + b"\r\n"
-                    )
+                    writer.write(wire.encode_chunk(payload))
                     await writer.drain()
                     request.response_bytes += len(payload)
                 self.counters["records_served"] += len(batch)
@@ -575,8 +480,8 @@ class CorpusServer:
             if compressor is not None:
                 tail = compressor.flush()
                 if tail:
-                    writer.write(f"{len(tail):x}\r\n".encode("ascii") + tail + b"\r\n")
-            writer.write(b"0\r\n\r\n")
+                    writer.write(wire.encode_chunk(tail))
+            writer.write(wire.encode_chunk(b""))
             await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             raise
@@ -596,9 +501,7 @@ class CorpusServer:
             and len(self.peer_admin_ports) > 1
         )
 
-    async def _handle_stats(
-        self, request: _Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
+    async def _handle_stats(self, request: _Request, writer: asyncio.StreamWriter) -> None:
         if self._fleet_scoped(request):
             payload = await self._aggregate_stats()
         else:
@@ -607,11 +510,9 @@ class CorpusServer:
             # The most recent finished spans of *this* worker's ring (trace
             # peeks are a debugging aid, not part of the fleet aggregate).
             payload["trace"] = _tracing.get_exporter().recent(limit=32)
-        await self._write_json(writer, payload, keep_alive, request)
+        await self._write_json(writer, payload, request)
 
-    async def _handle_metrics(
-        self, request: _Request, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
+    async def _handle_metrics(self, request: _Request, writer: asyncio.StreamWriter) -> None:
         if self._fleet_scoped(request):
             snapshots = [self.registry.snapshot()]
             snapshots.extend(
@@ -623,24 +524,11 @@ class CorpusServer:
         else:
             snapshot = self.registry.snapshot()
         if request.query.get("format") == "json":
-            await self._write_response(
-                writer,
-                200,
-                _metrics.snapshot_to_json(snapshot),
-                protocol.CONTENT_TYPE_JSON,
-                keep_alive,
-                request=request,
-            )
-            return
-        body = _metrics.render_prometheus(snapshot).encode("utf-8")
-        await self._write_response(
-            writer,
-            200,
-            body,
-            protocol.CONTENT_TYPE_PROMETHEUS,
-            keep_alive,
-            request=request,
-        )
+            body, content_type = _metrics.snapshot_to_json(snapshot), protocol.CONTENT_TYPE_JSON
+        else:
+            body = _metrics.render_prometheus(snapshot).encode("utf-8")
+            content_type = protocol.CONTENT_TYPE_PROMETHEUS
+        await self._write_response(writer, 200, body, content_type, request)
 
     async def _aggregate_stats(self) -> Dict[str, object]:
         payloads: List[Dict[str, object]] = [self.stats()]
@@ -672,47 +560,35 @@ class CorpusServer:
         self, port: int, target: str, timeout: float = 2.0
     ) -> Optional[Dict[str, object]]:
         """One minimal HTTP GET against a sibling worker; None on failure."""
+        request = wire.encode_request(
+            "GET",
+            target,
+            {"Host": f"{self.host}:{port}", "Accept": protocol.CONTENT_TYPE_JSON, "Connection": "close"},
+        )
+        parser = wire.Parser()
+        peer_writer = None
         try:
             reader, peer_writer = await asyncio.wait_for(
                 asyncio.open_connection(self.host, port), timeout
             )
-        except (OSError, asyncio.TimeoutError):
-            return None
-        try:
-            peer_writer.write(
-                (
-                    f"GET {target} HTTP/1.1\r\n"
-                    f"Host: {self.host}:{port}\r\n"
-                    f"Accept: {protocol.CONTENT_TYPE_JSON}\r\n"
-                    "Connection: close\r\n\r\n"
-                ).encode("ascii")
-            )
-            await asyncio.wait_for(peer_writer.drain(), timeout)
-            status_line = await asyncio.wait_for(reader.readline(), timeout)
-            parts = status_line.split()
-            if len(parts) < 2 or parts[1] != b"200":
+            peer_writer.write(request)
+            message = parser.next_message()
+            while message is wire.Event.NEED_DATA:
+                parser.feed(await asyncio.wait_for(reader.read(wire.RECV_BYTES), timeout))
+                message = parser.next_message()
+            if not isinstance(message, wire.Head) or message.status != 200:
                 return None
-            length = None
-            while True:
-                raw = await asyncio.wait_for(reader.readline(), timeout)
-                if raw in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = raw.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    length = int(value.strip())
-            if length is None:
-                return None
-            body = await asyncio.wait_for(reader.readexactly(length), timeout)
-            payload = json.loads(body.decode("utf-8"))
+            payload = protocol.decode_json(message.body)
             return payload if isinstance(payload, dict) else None
-        except (OSError, ValueError, asyncio.TimeoutError, asyncio.IncompleteReadError):
+        except (OSError, ReproError, asyncio.TimeoutError):
             return None
         finally:
-            peer_writer.close()
-            try:
-                await peer_writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            if peer_writer is not None:
+                peer_writer.close()
+                try:
+                    await peer_writer.wait_closed()
+                except (ConnectionError, OSError):
+                    pass
 
     # ------------------------------------------------------------------ #
     # Payloads
@@ -760,62 +636,32 @@ class CorpusServer:
         status: int,
         body: bytes,
         content_type: str,
-        keep_alive: bool,
-        content_encoding: Optional[str] = None,
         request: Optional[_Request] = None,
+        encoding: Optional[str] = None,
     ) -> None:
-        reason = protocol.STATUS_REASONS.get(status, "Unknown")
-        request_id = request.request_id if request is not None else None
-        headers = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            + (
-                f"Content-Encoding: {content_encoding}\r\n"
-                if content_encoding
-                else ""
-            )
-            + (
-                f"{_tracing.HEADER_REQUEST_ID}: {request_id}\r\n"
-                if request_id is not None
-                else ""
-            )
-            + f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        )
+        """One whole response; the connection stays open only while
+        *request* keeps it alive (no request: an answer before closing)."""
+        request_id, keep_alive = None, False
         if request is not None:
+            request_id, keep_alive = request.request_id, request.keep_alive
             request.status = status
             request.response_bytes += len(body)
-        writer.write(headers.encode("ascii") + body)
+        head = wire.response_head(status, content_type, len(body), encoding, request_id, keep_alive)
+        writer.write(head + body)
         await writer.drain()
 
     async def _write_json(
-        self,
-        writer: asyncio.StreamWriter,
-        payload: Dict[str, object],
-        keep_alive: bool,
-        request: Optional[_Request] = None,
+        self, writer: asyncio.StreamWriter, payload: Dict[str, object], request: _Request
     ) -> None:
-        await self._write_response(
-            writer, 200, protocol.encode_json(payload), protocol.CONTENT_TYPE_JSON,
-            keep_alive, request=request,
-        )
+        body = protocol.encode_json(payload)
+        await self._write_response(writer, 200, body, protocol.CONTENT_TYPE_JSON, request)
 
     async def _write_error(
-        self,
-        writer: asyncio.StreamWriter,
-        exc: BaseException,
-        keep_alive: bool = False,
-        request: Optional[_Request] = None,
+        self, writer: asyncio.StreamWriter, exc: BaseException, request: Optional[_Request] = None
     ) -> None:
-        status, body = protocol.encode_error(
-            exc, request.request_id if request is not None else None
-        )
+        status, body = protocol.encode_error(exc, request.request_id if request else None)
         try:
-            await self._write_response(
-                writer, status, body, protocol.CONTENT_TYPE_JSON, keep_alive,
-                request=request,
-            )
+            await self._write_response(writer, status, body, protocol.CONTENT_TYPE_JSON, request)
         except ConnectionError:
             pass  # the peer is gone; nothing to tell them
 
@@ -827,7 +673,7 @@ class CorpusServer:
         self._metric_latency.labels(route).observe(elapsed)
         if request.response_bytes:
             self._metric_response_bytes.labels(route).observe(request.response_bytes)
-        if self.registry.enabled and request.request_id is not None:
+        if self.registry.enabled:
             # One finished span per request feeds ``/stats?trace=recent``:
             # a failover chain shows up as several spans sharing a trace id.
             span = _tracing.Span(

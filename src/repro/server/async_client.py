@@ -1,23 +1,19 @@
 """Asyncio corpus clients: :class:`AsyncCorpusClient` and its failover twin.
 
-The blocking :class:`~repro.server.client.CorpusClient` serializes unit
-requests over one keep-alive socket — exactly right for thread-based
-consumers, useless inside an event loop.  These clients speak the same
-pinned wire schema (:mod:`repro.server.protocol`: routes, typed error
-envelope, deflate negotiation) over raw ``asyncio`` streams, so async
-consumers (the server's own tests, future async screening drivers) read a
-corpus without a thread pool.
+An asyncio-streams driver over the sans-IO core in :mod:`repro.server.wire`,
+the same core the blocking :class:`~repro.server.client.CorpusClient` runs:
+requests, response parsing, endpoint decoding, stream record decoding and
+every retry and failover decision are shared, and this module only moves
+bytes (``asyncio.open_connection``, reads, writes, sleeps), so async
+consumers read a corpus without a thread pool and behave exactly like the
+blocking clients.
 
 Surface notes versus the blocking client:
 
 * ``__len__`` cannot await, so the record count is ``await client.total()``.
-* :meth:`iter_range` is an *async* generator with the same
-  delivered-before-death guarantee: each transfer chunk is decoded as it
-  arrives (sync-flushed deflate included), so records received before a
-  mid-stream death are yielded before :class:`ServerConnectionError`.
-* :class:`AsyncFailoverCorpusClient` applies the same retry classification
-  as the blocking failover client (:func:`repro.server.protocol.is_retryable`)
-  and the same stream-resume arithmetic — one policy, two execution models.
+* :meth:`AsyncCorpusClient.iter_range` is an *async* iterator with the same
+  delivered-before-death guarantee.
+* Only plain ``http`` is spoken (no TLS driver).
 
 Unit requests hold an ``asyncio.Lock`` for their request/response cycle on
 the shared connection; streams open a dedicated connection, mirroring the
@@ -27,65 +23,79 @@ blocking client's thread-safety contract.
 from __future__ import annotations
 
 import asyncio
-import urllib.parse
-import zlib
-from typing import AsyncIterator, Dict, List, Optional, Sequence, Tuple, Union
+from typing import AsyncIterator, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from ..errors import ProtocolError, ReproError, ServerConnectionError, ServerError
-from ..telemetry import metrics as _metrics
+from ..errors import ReproError, ServerError
 from ..telemetry import tracing as _tracing
-from . import protocol
-from .retry import RetryPolicy, RetryState
+from . import wire
+from .retry import RetryPolicy
+from .wire import DEFAULT_TIMEOUT
 
-#: Default per-I/O-operation timeout (seconds).
-DEFAULT_TIMEOUT = 30.0
-#: Bytes per stream read (mirrors the blocking client's read batch).
-DEFAULT_READ_BATCH = 8192
-
-_TRANSPORT_ERRORS = (
-    ConnectionError,
-    asyncio.IncompleteReadError,
-    asyncio.TimeoutError,
-    TimeoutError,
-    OSError,
-    EOFError,
-)
+_T = TypeVar("_T")
 
 
-async def _await_retry(state: RetryState) -> bool:
-    """Async twin of :meth:`RetryState.wait` (no blocking sleep)."""
-    delay = state.next_delay()
-    if delay is None:
-        return False
-    if delay > 0:
-        await asyncio.sleep(delay)
-    return True
+async def _close(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except OSError:
+        pass
 
 
-class _Response:
-    """One parsed response head plus the reader positioned at its body."""
+class _AsyncEndpoints:
+    """The surface both asyncio clients share; each runs the
+    :class:`~repro.server.wire.ClientCore` endpoints its own way (``_run``)
+    and streams its own way (``_stream``)."""
 
-    __slots__ = ("status", "headers", "reader")
+    async def healthz(self) -> Dict[str, object]:
+        """The server's liveness payload."""
+        return await self._run(wire.ClientCore.healthz)
 
-    def __init__(self, status: int, headers: Dict[str, str], reader: asyncio.StreamReader):
-        self.status = status
-        self.headers = headers
-        self.reader = reader
+    async def stats(self, trace: bool = False) -> Dict[str, object]:
+        """The server's ``/stats`` payload (``trace=True`` adds recent spans)."""
+        return await self._run(wire.ClientCore.stats, trace)
 
-    @property
-    def chunked(self) -> bool:
-        return self.headers.get("transfer-encoding", "").lower() == "chunked"
+    async def metrics(self) -> str:
+        """The server's ``GET /metrics`` Prometheus text exposition."""
+        return await self._run(wire.ClientCore.metrics)
 
-    @property
-    def content_encoding(self) -> str:
-        return self.headers.get("content-encoding", "").strip().lower()
+    async def metrics_snapshot(self) -> Dict[str, object]:
+        """The same data as :meth:`metrics`, as the JSON snapshot shape."""
+        return await self._run(wire.ClientCore.metrics_snapshot)
 
-    @property
-    def keep_alive(self) -> bool:
-        return self.headers.get("connection", "keep-alive").lower() != "close"
+    async def get(self, index: int) -> str:
+        """The record at *index*."""
+        return await self._run(wire.ClientCore.get, index)
+
+    async def get_many(self, indices: Sequence[int]) -> List[str]:
+        """Several records in one batch round trip."""
+        indices = list(indices)
+        return await self._run(wire.ClientCore.get_many, indices) if indices else []
+
+    async def sample(self, n: int, seed: Optional[int] = None) -> Tuple[List[int], List[str]]:
+        """Seed-deterministic uniform sample without replacement."""
+        return await self._run(wire.ClientCore.sample, n, seed)
+
+    def iter_range(self, start: int = 0, stop: Optional[int] = None) -> AsyncIterator[str]:
+        """Stream records ``start`` … ``stop`` on a dedicated connection.
+
+        Everything the server delivered before dying is yielded before the
+        :class:`~repro.errors.ServerConnectionError` (``delivered`` set).
+        """
+        return self._stream(start, stop)
+
+    async def slice(self, start: int, stop: int) -> List[str]:
+        """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped)."""
+        return [record async for record in self.iter_range(start, stop)]
+
+    async def __aenter__(self):
+        return self
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        await self.close()
 
 
-class AsyncCorpusClient:
+class AsyncCorpusClient(_AsyncEndpoints):
     """Asyncio record access to a :class:`~repro.server.app.CorpusServer`.
 
     Parameters mirror :class:`~repro.server.client.CorpusClient`; use as an
@@ -102,407 +112,102 @@ class AsyncCorpusClient:
         compress: bool = True,
         retry: Optional[RetryPolicy] = None,
     ):
-        parsed = urllib.parse.urlsplit(base_url)
-        if parsed.scheme != "http":
-            raise ServerError(
-                f"AsyncCorpusClient speaks plain http, got {parsed.scheme!r} "
-                f"in {base_url!r}"
-            )
-        if not parsed.hostname:
-            raise ServerError(f"no host in server URL {base_url!r}")
-        self.base_url = base_url.rstrip("/")
-        self._host = parsed.hostname
-        self._port = parsed.port or 80
-        self._prefix = parsed.path.rstrip("/")
+        self._core = wire.ClientCore(base_url, timeout, compress, retry)
+        if self._core.https:
+            raise ServerError(f"AsyncCorpusClient speaks plain http, got 'https' in {base_url!r}")
+        self.base_url = self._core.base_url
         self.timeout = timeout
         self.compress = compress
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.retry = self._core.retry
         self._conn: Optional[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = None
         self._lock = asyncio.Lock()
-        self._total: Optional[int] = None
-        registry = _metrics.get_registry()
-        self._metric_requests = registry.counter(
-            "zsmiles_client_requests_total",
-            "HTTP requests issued by the corpus clients",
-        )
-        self._metric_reconnects = registry.counter(
-            "zsmiles_client_reconnects_total",
-            "Keep-alive connections dropped and reopened after a transport failure",
-        )
 
-    # ------------------------------------------------------------------ #
-    # Transport
-    # ------------------------------------------------------------------ #
+    async def _io(self, step: Awaitable[_T]) -> _T:
+        """One transport step under the timeout (expiry is a TimeoutError)."""
+        try:
+            return await asyncio.wait_for(step, self.timeout)
+        except asyncio.TimeoutError as exc:
+            raise TimeoutError(f"timed out after {self.timeout}s") from exc
+
     async def _open(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        return await asyncio.wait_for(
-            asyncio.open_connection(self._host, self._port), self.timeout
-        )
+        return await self._io(asyncio.open_connection(self._core.host, self._core.port))
 
     async def _drop_connection(self) -> None:
         if self._conn is not None:
-            _, writer = self._conn
+            writer = self._conn[1]
             self._conn = None
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await _close(writer)
 
-    def _request_bytes(
-        self,
-        method: str,
-        target: str,
-        body: Optional[bytes],
-        headers: Optional[Dict[str, str]],
-        accept: str,
-    ) -> bytes:
-        request_headers = {
-            "Host": f"{self._host}:{self._port}",
-            "Accept": accept,
-        }
-        if self.compress:
-            request_headers["Accept-Encoding"] = protocol.CONTENT_ENCODING_DEFLATE
-        # contextvars flow through asyncio tasks, so a trace_context opened
-        # by the caller (or the failover wrapper) stamps every send it makes.
-        trace_id = _tracing.current_trace_id()
-        request_id = trace_id or _tracing.new_trace_id()
-        request_headers[_tracing.HEADER_REQUEST_ID] = request_id
-        request_headers[_tracing.HEADER_TRACE_ID] = trace_id or request_id
-        if headers:
-            request_headers.update(headers)
-        if body is not None:
-            request_headers["Content-Length"] = str(len(body))
-        head = f"{method} {self._prefix + target} HTTP/1.1\r\n" + "".join(
-            f"{name}: {value}\r\n" for name, value in request_headers.items()
-        )
-        return head.encode("ascii") + b"\r\n" + (body or b"")
-
-    async def _read_head(self, reader: asyncio.StreamReader) -> _Response:
-        line = await asyncio.wait_for(reader.readline(), self.timeout)
-        if not line:
-            raise ConnectionError("server closed the connection before answering")
-        try:
-            _version, status_text, _reason = line.decode("ascii").split(None, 2)
-            status = int(status_text)
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ProtocolError(f"malformed status line: {line[:80]!r}") from exc
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await asyncio.wait_for(reader.readline(), self.timeout)
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return _Response(status, headers, reader)
-
-    async def _read_fixed_body(self, response: _Response) -> bytes:
-        length_raw = response.headers.get("content-length")
-        if length_raw is None:
-            raise ProtocolError("response carries neither Content-Length nor chunks")
-        try:
-            length = int(length_raw)
-        except ValueError as exc:
-            raise ProtocolError(f"bad Content-Length {length_raw!r}") from exc
-        return await asyncio.wait_for(response.reader.readexactly(length), self.timeout)
-
-    async def _call(
-        self,
-        method: str,
-        target: str,
-        body: Optional[bytes] = None,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, bytes]:
-        """One unit request/response on the shared keep-alive connection.
-
-        The reconnect retry is restricted to the connect/send phase — the
-        same no-silent-duplicates contract as the blocking client; a
-        failure once the response may be under way raises
-        :class:`ServerConnectionError`.
-        """
-        payload_out = self._request_bytes(
-            method, target, body, headers, protocol.CONTENT_TYPE_JSON
-        )
-        self._metric_requests.inc()
+    async def _exchange(self, exchange: wire.Exchange) -> wire.Exchange:
+        """Run one unit round trip on the kept-alive connection."""
         async with self._lock:
-            last_error: Optional[Exception] = None
-            conn = None
-            retry_state = self.retry.start()
             while True:
                 try:
+                    if self._conn is not None and self._conn[0].at_eof():
+                        await self._drop_connection()  # the server closed it while idle
                     if self._conn is None:
                         self._conn = await self._open()
                     reader, writer = self._conn
-                    writer.write(payload_out)
-                    await asyncio.wait_for(writer.drain(), self.timeout)
-                    conn = self._conn
+                    writer.write(exchange.request)
+                    await self._io(writer.drain())
                     break
-                except _TRANSPORT_ERRORS as exc:
-                    last_error = exc
+                except OSError as exc:
                     await self._drop_connection()
-                    self._metric_reconnects.inc()
-                    if not await _await_retry(retry_state):
-                        break
-            if conn is None:
-                raise ServerConnectionError(
-                    f"request {method} {target} to {self.base_url} failed: {last_error}"
-                ) from last_error
-            reader, _writer = conn
+                    await asyncio.sleep(exchange.retry_delay(exc))
             try:
-                response = await self._read_head(reader)
-                payload = await self._read_fixed_body(response)
-            except _TRANSPORT_ERRORS as exc:
+                while not exchange.receive(await self._io(reader.read(wire.RECV_BYTES))):
+                    pass
+            except OSError as exc:
                 await self._drop_connection()
-                raise ServerConnectionError(
-                    f"server at {self.base_url} died before answering "
-                    f"{method} {target}: {exc}"
-                ) from exc
-            if not response.keep_alive:
+                raise exchange.failure(exc) from exc
+            except ReproError:
                 await self._drop_connection()
-        if response.content_encoding == protocol.CONTENT_ENCODING_DEFLATE:
-            payload = protocol.inflate_body(payload)
-        elif response.content_encoding and response.content_encoding != "identity":
-            raise ProtocolError(
-                f"server sent unsupported Content-Encoding "
-                f"{response.content_encoding!r}"
-            )
-        if response.status != 200:
-            raise protocol.exception_from_envelope(payload, response.status)
-        return response.status, payload
+                raise
+            if not exchange.reusable:
+                await self._drop_connection()
+        return exchange
 
-    # ------------------------------------------------------------------ #
-    # Service endpoints
-    # ------------------------------------------------------------------ #
-    async def healthz(self) -> Dict[str, object]:
-        """The server's liveness payload."""
-        _, body = await self._call("GET", protocol.ROUTE_HEALTH)
-        return self._json_object(body, protocol.ROUTE_HEALTH)
+    async def _run(self, endpoint: Callable[..., wire.Exchange], *args):
+        return (await self._exchange(endpoint(self._core, *args))).result()
 
-    async def stats(self) -> Dict[str, object]:
-        """The server's ``/stats`` payload."""
-        _, body = await self._call("GET", protocol.ROUTE_STATS)
-        payload = self._json_object(body, protocol.ROUTE_STATS)
-        records = payload.get("records")
-        if isinstance(records, int):
-            self._total = records
-        return payload
-
-    async def metrics(self) -> str:
-        """The server's ``GET /metrics`` Prometheus text exposition."""
-        _, body = await self._call("GET", protocol.ROUTE_METRICS)
-        return body.decode("utf-8")
-
-    @staticmethod
-    def _json_object(body: bytes, route: str) -> Dict[str, object]:
-        obj = protocol.decode_json(body)
-        if not isinstance(obj, dict):
-            raise ProtocolError(f"{route} response must be a JSON object")
-        return obj
-
-    # ------------------------------------------------------------------ #
-    # Record access
-    # ------------------------------------------------------------------ #
-    async def total(self) -> int:
-        """Record count (``__len__`` cannot await); fetched once, cached."""
-        if self._total is None:
-            await self.stats()
-            if self._total is None:
-                raise ProtocolError("/stats response carried no integer 'records'")
-        return self._total
-
-    async def get(self, index: int) -> str:
-        """The record at *index*."""
-        _, body = await self._call("GET", f"{protocol.RECORD_PREFIX}{index}")
-        return body.decode("utf-8")
-
-    async def get_many(self, indices: Sequence[int]) -> List[str]:
-        """Several records in one batch round trip."""
-        indices = list(indices)
-        if not indices:
-            return []
-        _, body = await self._call(
-            "POST",
-            protocol.ROUTE_BATCH,
-            body=protocol.encode_batch_request(indices),
-            headers={"Content-Type": protocol.CONTENT_TYPE_JSON},
-        )
-        records = body.decode("utf-8").split("\n")
-        if records and records[-1] == "":
-            records.pop()
-        if len(records) != len(indices):
-            raise ProtocolError(
-                f"batch response carried {len(records)} records for "
-                f"{len(indices)} indices"
-            )
-        return records
-
-    async def sample(
-        self, n: int, seed: Optional[int] = None
-    ) -> Tuple[List[int], List[str]]:
-        """Seed-deterministic uniform sample without replacement."""
-        query = {"n": str(n)}
-        if seed is not None:
-            query["seed"] = str(seed)
-        _, body = await self._call(
-            "GET", f"{protocol.ROUTE_SAMPLE}?{urllib.parse.urlencode(query)}"
-        )
-        payload = self._json_object(body, protocol.ROUTE_SAMPLE)
-        indices = payload.get("indices")
-        records = payload.get("records")
-        if not isinstance(indices, list) or not isinstance(records, list):
-            raise ProtocolError("sample response must carry 'indices' and 'records' lists")
-        if len(indices) != len(records):
-            raise ProtocolError(
-                f"sample response carried {len(records)} records for "
-                f"{len(indices)} indices"
-            )
-        total = payload.get("total")
-        if isinstance(total, int):
-            self._total = total
-        return [int(i) for i in indices], [str(r) for r in records]
-
-    async def iter_range(
-        self, start: int = 0, stop: Optional[int] = None
+    async def _stream(
+        self, start: int, stop: Optional[int], trace_id: Optional[str] = None
     ) -> AsyncIterator[str]:
-        """Stream records ``start`` … ``stop`` on a dedicated connection.
-
-        Chunks (and sync-flushed deflate segments) decode as they arrive,
-        so everything the server delivered before dying is yielded before
-        the :class:`ServerConnectionError`.
-        """
-        query = {"start": str(start)}
-        if stop is not None:
-            query["stop"] = str(stop)
-        target = f"{protocol.ROUTE_RECORDS}?{urllib.parse.urlencode(query)}"
-        payload_out = self._request_bytes(
-            "GET", target, None, None, protocol.CONTENT_TYPE_TEXT
-        )
-        self._metric_requests.inc()
+        stream = self._core.stream(start, stop, trace_id)
+        writer = None
         try:
             reader, writer = await self._open()
-        except _TRANSPORT_ERRORS as exc:
-            raise ServerConnectionError(
-                f"request GET {target} to {self.base_url} failed: {exc}"
-            ) from exc
-        try:
-            try:
-                writer.write(payload_out)
-                await asyncio.wait_for(writer.drain(), self.timeout)
-                response = await self._read_head(reader)
-            except _TRANSPORT_ERRORS as exc:
-                raise ServerConnectionError(
-                    f"request GET {target} to {self.base_url} failed: {exc}"
-                ) from exc
-            if response.status != 200:
-                payload = await self._read_fixed_body(response)
-                if response.content_encoding == protocol.CONTENT_ENCODING_DEFLATE:
-                    payload = protocol.inflate_body(payload)
-                raise protocol.exception_from_envelope(payload, response.status)
-            if not response.chunked:
-                raise ProtocolError("range stream response must be chunked")
-            inflater = None
-            if response.content_encoding == protocol.CONTENT_ENCODING_DEFLATE:
-                inflater = zlib.decompressobj()
-            elif response.content_encoding and response.content_encoding != "identity":
-                raise ProtocolError(
-                    f"server sent unsupported Content-Encoding "
-                    f"{response.content_encoding!r}"
-                )
-            pending = b""
-            delivered = 0
-            try:
-                while True:
-                    size_line = await asyncio.wait_for(reader.readline(), self.timeout)
-                    if not size_line:
-                        raise ConnectionError("stream cut before terminating chunk")
-                    try:
-                        size = int(size_line.strip(), 16)
-                    except ValueError as exc:
-                        raise ProtocolError(
-                            f"malformed chunk size {size_line[:20]!r}"
-                        ) from exc
-                    if size == 0:
-                        await asyncio.wait_for(reader.readline(), self.timeout)
-                        break
-                    chunk = await asyncio.wait_for(
-                        reader.readexactly(size + 2), self.timeout
-                    )
-                    chunk = chunk[:-2]  # strip the CRLF chunk trailer
-                    if inflater is not None:
-                        try:
-                            chunk = inflater.decompress(chunk)
-                        except zlib.error as exc:
-                            raise ProtocolError(
-                                f"corrupt deflate stream from {self.base_url}: {exc}"
-                            ) from exc
-                        if not chunk:
-                            continue
-                    pending += chunk
-                    lines = pending.split(b"\n")
-                    pending = lines.pop()
-                    for line in lines:
-                        yield line.decode("utf-8")
-                        delivered += 1
-            except (asyncio.TimeoutError, TimeoutError) as exc:
-                raise ServerConnectionError(
-                    f"server at {self.base_url} stalled mid-stream "
-                    f"(no data within {self.timeout}s): {exc}",
-                    delivered=delivered,
-                ) from exc
-            except _TRANSPORT_ERRORS as exc:
-                raise ServerConnectionError(
-                    f"server at {self.base_url} died mid-stream: {exc}",
-                    delivered=delivered,
-                ) from exc
-            if inflater is not None:
-                try:
-                    pending += inflater.flush()
-                except zlib.error as exc:
-                    raise ProtocolError(
-                        f"corrupt deflate stream from {self.base_url}: {exc}"
-                    ) from exc
-                if pending:
-                    lines = pending.split(b"\n")
-                    pending = lines.pop()
-                    for line in lines:
-                        yield line.decode("utf-8")
-                        delivered += 1
-            if pending:
-                raise ServerConnectionError(
-                    f"record stream from {self.base_url} ended mid-record",
-                    delivered=delivered,
-                )
+            writer.write(stream.request)
+            await self._io(writer.drain())
+            while not stream.done:
+                for record in stream.receive(await self._io(reader.read(wire.RECV_BYTES))):
+                    yield record
+        except OSError as exc:
+            raise stream.failure(exc) from exc
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            stream.close()
+            if writer is not None:
+                await _close(writer)
 
-    async def slice(self, start: int, stop: int) -> List[str]:
-        """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped)."""
-        return [record async for record in self.iter_range(start, stop)]
+    async def total(self) -> int:
+        """Record count (``__len__`` cannot await); fetched once, cached."""
+        if self._core.total is None:
+            await self.stats()
+        return self._core.length()
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
     async def close(self) -> None:
         """Close the kept-alive connection (idempotent; calls reopen it)."""
         await self._drop_connection()
 
-    async def __aenter__(self) -> "AsyncCorpusClient":
-        return self
 
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
-
-
-class AsyncFailoverCorpusClient:
+class AsyncFailoverCorpusClient(_AsyncEndpoints):
     """The async twin of :class:`~repro.server.client.FailoverCorpusClient`.
 
-    Same routing policy — rotating-cursor round-robin, failover on
-    :func:`repro.server.protocol.is_retryable` outcomes, immediate
-    propagation of fatal typed errors, stream resume at the first
-    undelivered record — executed over :class:`AsyncCorpusClient` replicas.
+    The same :class:`repro.server.wire.Failover` decisions — rotating
+    round-robin, failover on retryable outcomes, fatal typed errors
+    propagate, stream resume at the first undelivered record under one
+    trace id, the rotation and failover counters — executed over
+    :class:`AsyncCorpusClient` replicas.
     """
 
     def __init__(
@@ -512,118 +217,49 @@ class AsyncFailoverCorpusClient:
         compress: bool = True,
         retry: Optional[RetryPolicy] = None,
     ):
-        replica_urls = protocol.split_replica_urls(urls)
-        if not replica_urls:
-            raise ServerError(f"no replica URLs in {urls!r}")
-        self.urls: Tuple[str, ...] = tuple(replica_urls)
-        self.retry = retry if retry is not None else RetryPolicy()
+        self._failover = wire.Failover(urls, retry)
+        self.urls = self._failover.urls
+        self.retry = self._failover.retry
         self._clients = [
-            AsyncCorpusClient(url, timeout=timeout, compress=compress)
-            for url in replica_urls
+            AsyncCorpusClient(url, timeout=timeout, compress=compress) for url in self.urls
         ]
-        self._cursor = 0
 
-    def _rotation(self) -> List[AsyncCorpusClient]:
-        start = self._cursor  # single event loop: plain int cursor is safe
-        self._cursor = (start + 1) % len(self._clients)
-        n = len(self._clients)
-        return [self._clients[(start + i) % n] for i in range(n)]
-
-    async def _fan(self, op):
-        last_error: Optional[ReproError] = None
-        retry_state = self.retry.start()
-        # One trace id spans the whole failover chain (see the blocking twin).
-        with _tracing.trace_context():
-            return await self._fan_traced(op, retry_state, last_error)
-
-    async def _fan_traced(self, op, retry_state, last_error):
-        while True:
-            for client in self._rotation():
+    async def _fan(self, op: Callable[[AsyncCorpusClient], Awaitable[_T]]) -> _T:
+        """Run *op* against replicas in rotation until one answers."""
+        attempt = self._failover.operation()
+        with _tracing.trace_context(attempt.trace_id):
+            while True:
+                index, delay = attempt.next()
+                if delay:
+                    await asyncio.sleep(delay)
                 try:
-                    return await op(client)
+                    return await op(self._clients[index])
                 except ReproError as exc:
-                    if not protocol.is_retryable(exc):
-                        raise
-                    last_error = exc
-            if not await _await_retry(retry_state):
-                raise ServerConnectionError(
-                    f"all {len(self._clients)} replicas failed "
-                    f"({', '.join(self.urls)}); last error: {last_error}"
-                ) from last_error
+                    attempt.failed(exc)
 
-    async def healthz(self) -> Dict[str, object]:
-        """Liveness payload from the first replica that answers."""
-        return await self._fan(lambda c: c.healthz())
+    async def _run(self, endpoint: Callable[..., wire.Exchange], *args):
+        return await self._fan(lambda client: client._run(endpoint, *args))
 
-    async def stats(self) -> Dict[str, object]:
-        """``/stats`` payload from the first replica that answers."""
-        return await self._fan(lambda c: c.stats())
+    async def _stream(self, start: int, stop: Optional[int]) -> AsyncIterator[str]:
+        attempt = self._failover.operation(start, stop)
+        while True:
+            index, delay = attempt.next()
+            if delay:
+                await asyncio.sleep(delay)
+            try:
+                replica = self._clients[index]
+                async for record in replica._stream(attempt.resume_at, stop, attempt.trace_id):
+                    attempt.advance()
+                    yield record
+                return
+            except ReproError as exc:
+                attempt.failed(exc)
 
     async def total(self) -> int:
         """Record count from the first replica that answers."""
-        return await self._fan(lambda c: c.total())
-
-    async def get(self, index: int) -> str:
-        """The record at *index*, failing over between replicas."""
-        return await self._fan(lambda c: c.get(index))
-
-    async def get_many(self, indices: Sequence[int]) -> List[str]:
-        """One batch round trip, failing over between replicas."""
-        indices = list(indices)
-        if not indices:
-            return []
-        return await self._fan(lambda c: c.get_many(indices))
-
-    async def sample(
-        self, n: int, seed: Optional[int] = None
-    ) -> Tuple[List[int], List[str]]:
-        """Seed-deterministic uniform sample (identical on every replica)."""
-        return await self._fan(lambda c: c.sample(n, seed))
-
-    async def iter_range(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> AsyncIterator[str]:
-        """Stream ``start`` … ``stop``, resuming across replica deaths."""
-        delivered = 0
-        retry_state = self.retry.start()
-        while True:
-            progressed = False
-            last_error: Optional[ReproError] = None
-            for client in self._rotation():
-                try:
-                    async for record in client.iter_range(start + delivered, stop):
-                        delivered += 1
-                        progressed = True
-                        yield record
-                    return
-                except ReproError as exc:
-                    if not protocol.is_retryable(exc):
-                        raise
-                    last_error = exc
-                    if progressed:
-                        break  # progress resets the rotation budget
-            if progressed:
-                retry_state.reset_progress()
-                continue
-            if not await _await_retry(retry_state):
-                raise ServerConnectionError(
-                    f"all {len(self._clients)} replicas failed streaming "
-                    f"[{start + delivered}, {stop}) ({', '.join(self.urls)}); "
-                    f"last error: {last_error}",
-                    delivered=delivered,
-                ) from last_error
-
-    async def slice(self, start: int, stop: int) -> List[str]:
-        """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped)."""
-        return [record async for record in self.iter_range(start, stop)]
+        return await self._fan(lambda client: client.total())
 
     async def close(self) -> None:
         """Close every replica's kept-alive connection (idempotent)."""
         for client in self._clients:
             await client.close()
-
-    async def __aenter__(self) -> "AsyncFailoverCorpusClient":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()

@@ -1,299 +1,80 @@
-"""The blocking corpus client: :class:`CorpusClient`.
+"""The blocking corpus clients: :class:`CorpusClient` and its failover twin.
 
-A :class:`~http.client.HTTPConnection`-based client that mirrors the
-:class:`~repro.store.protocol.RecordReader` surface — ``len()``, ``get``,
-``get_many``, ``slice``, ``iter_all``, the ``line``/``lines`` aliases and
-context management — so every existing consumer (the screening pipeline,
-``datasets.io``, the CLI) reads from a URL exactly the way it reads from a
-file.  :func:`repro.store.open_reader` dispatches ``http://`` / ``https://``
-sources here, which is how a corpus moves from "local file" to "service"
-without a single call-site change.
+A blocking-socket driver over the sans-IO core in :mod:`repro.server.wire`:
+this module owns only the I/O — connecting (``TCP_NODELAY``, ``https``
+through :mod:`ssl`), sending, receiving, sleeping between retries — while
+the core builds every request, parses every response and makes every retry
+and failover decision, the same code the asyncio twin
+(:mod:`repro.server.async_client`) runs.
 
-Error behaviour is typed end to end: the server's JSON envelope is decoded
-back into the originating :mod:`repro.errors` class (an out-of-range index
-raises :class:`~repro.errors.RandomAccessError`, a malformed request
+:class:`CorpusClient` mirrors the :class:`~repro.store.protocol.RecordReader`
+surface — ``len()``, ``get``, ``get_many``, ``slice``, ``iter_all``, the
+``line``/``lines`` aliases and context management — so every consumer (the
+screening pipeline, ``datasets.io``, the CLI) reads from a URL exactly the
+way it reads from a file; :func:`repro.store.open_reader` dispatches
+``http://`` / ``https://`` sources here.
+
+Errors are typed end to end: the server's JSON envelope becomes the
+originating :mod:`repro.errors` class (an out-of-range index raises
+:class:`~repro.errors.RandomAccessError`, a malformed request
 :class:`~repro.errors.ProtocolError`), and transport failures — connection
 refused, the server dying mid-stream — raise
 :class:`~repro.errors.ServerConnectionError`.
 
 One connection is kept alive across calls.  The keep-alive race (the server
-closed an idle connection between our requests) is handled *before* sending:
-the pooled socket is probed for a pending EOF and reopened if stale.  The
-single reconnect retry is therefore restricted to the connect/send phase —
-once any response byte could have been received, a transport failure raises
-:class:`~repro.errors.ServerConnectionError` instead of silently resending
-(a resend after partial response receipt would be a duplicate request; for
-anything non-idempotent upstream of the library that is corruption, and even
-here it double-counts server tallies).
+closed an idle connection between our requests) is handled *before*
+sending: the pooled socket is probed for a pending EOF and reopened if
+stale.  Reconnect retries are therefore restricted to the connect/send
+phase — once any response byte could have been received, a transport
+failure raises instead of silently resending (a duplicate request).
 
-Responses negotiate zlib ``Content-Encoding: deflate`` (see
-:mod:`repro.server.protocol`): the client advertises it by default and
-transparently inflates batch bodies and range streams.
+Thread safety mirrors the local readers: unit requests (``get`` /
+``get_many`` / ``stats``) serialize over the shared keep-alive connection
+behind a lock, and every :meth:`CorpusClient.iter_range` stream runs on its
+own dedicated connection, so a long (or abandoned) stream never blocks or
+desynchronizes unit requests from other threads.
 
 :class:`FailoverCorpusClient` wraps several replicas of the same corpus
-behind the same surface: calls round-robin across the URLs and fail over on
-*retryable* outcomes (connection loss, HTTP 503) while fatal, typed errors
-(a 404 out-of-range index, a 400 malformed request) propagate immediately —
-the typed envelope is what makes that distinction trustworthy.  Range
-streams resume on the next replica at the first undelivered record, so a
-replica dying mid-stream costs nothing but latency.
-
-The clients are thread-safe the way the local readers are: unit requests
-(``get`` / ``get_many`` / ``stats``) serialize over the shared keep-alive
-connection behind a lock — mirroring :class:`ShardReader`'s I/O lock — and
-every :meth:`iter_range` stream runs on its own dedicated connection, so a
-long (or abandoned) stream never blocks or desynchronizes unit requests
-from other threads.
+behind the same surface (:class:`repro.server.wire.Failover` decides):
+calls round-robin across the URLs and fail over on *retryable* outcomes
+(connection loss, HTTP 503, block corruption) while fatal typed errors
+(404, 400) propagate immediately; range streams resume on the next replica
+at the first undelivered record.
 """
 
 from __future__ import annotations
 
-import http.client
 import select
 import socket
+import ssl
 import threading
-import urllib.parse
-import zlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+import time
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from ..errors import ProtocolError, ReproError, ServerConnectionError, ServerError
-from ..telemetry import metrics as _metrics
+from ..errors import ReproError
 from ..telemetry import tracing as _tracing
-from . import protocol
+from . import wire
 from .retry import RetryPolicy
+from .wire import DEFAULT_TIMEOUT
 
-#: Default socket timeout (seconds) for every request.
-DEFAULT_TIMEOUT = 30.0
-#: Records requested per :meth:`CorpusClient.iter_range` underlying stream read.
-DEFAULT_READ_BATCH = 8192
+__all__ = ["DEFAULT_TIMEOUT", "CorpusClient", "FailoverCorpusClient"]
 
-#: Sentinel for "the stream produced nothing" in the failover resume loop.
-_STREAM_DONE = object()
+_T = TypeVar("_T")
 
 
-def _chain_first(first: object, rest: Iterator[str]) -> Iterator[str]:
-    """Re-attach an eagerly pulled first record to the rest of its stream."""
-    if first is _STREAM_DONE:
-        return
-    yield first  # type: ignore[misc]
-    for record in rest:
-        yield record
+class _Endpoints:
+    """The surface both blocking clients share; each runs the
+    :class:`~repro.server.wire.ClientCore` endpoints its own way (``_run``)
+    and streams its own way (``_stream``)."""
 
-
-class CorpusClient:
-    """Blocking record access to a :class:`~repro.server.app.CorpusServer`.
-
-    Parameters
-    ----------
-    base_url:
-        The server root, e.g. ``http://127.0.0.1:8765``.  A path prefix is
-        honoured (``http://host:port/corpus`` requests ``/corpus/records/…``).
-    timeout:
-        Socket timeout per request, in seconds.
-    compress:
-        Advertise ``Accept-Encoding: deflate`` so the server may compress
-        batch and stream responses (inflated transparently).  Identity
-        responses are always accepted either way.
-    retry:
-        The :class:`~repro.server.retry.RetryPolicy` governing the
-        connect/send phase (the only phase where resending is safe).  The
-        default matches the historical behaviour: one transparent retry
-        with a short backoff.
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = DEFAULT_TIMEOUT,
-        compress: bool = True,
-        retry: Optional[RetryPolicy] = None,
-    ):
-        parsed = urllib.parse.urlsplit(base_url)
-        if parsed.scheme not in ("http", "https"):
-            raise ServerError(f"unsupported URL scheme {parsed.scheme!r} in {base_url!r}")
-        if not parsed.hostname:
-            raise ServerError(f"no host in server URL {base_url!r}")
-        self.base_url = base_url.rstrip("/")
-        self._https = parsed.scheme == "https"
-        self._host = parsed.hostname
-        self._port = parsed.port
-        self._prefix = parsed.path.rstrip("/")
-        self.timeout = timeout
-        self.compress = compress
-        self.retry = retry if retry is not None else RetryPolicy()
-        self._conn: Optional[http.client.HTTPConnection] = None
-        # Serializes request/response cycles on the shared keep-alive
-        # connection (http.client forbids interleaving them); the local
-        # readers' ShardReader._io_lock plays the same role.
-        self._lock = threading.RLock()
-        self._total: Optional[int] = None
-        registry = _metrics.get_registry()
-        self._metric_requests = registry.counter(
-            "zsmiles_client_requests_total",
-            "HTTP requests issued by the corpus clients",
-        )
-        self._metric_reconnects = registry.counter(
-            "zsmiles_client_reconnects_total",
-            "Keep-alive connections dropped and reopened after a transport failure",
-        )
-        self._metric_stream_records = registry.counter(
-            "zsmiles_client_stream_records_total",
-            "Records delivered by range streams (counts partial streams too)",
-        )
-
-    # ------------------------------------------------------------------ #
-    # Transport
-    # ------------------------------------------------------------------ #
-    def _new_connection(self) -> http.client.HTTPConnection:
-        factory = (
-            http.client.HTTPSConnection if self._https else http.client.HTTPConnection
-        )
-        return factory(self._host, self._port, timeout=self.timeout)
-
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is not None and self._conn.sock is not None:
-            # Keep-alive staleness probe: a server that closed this idle
-            # connection has already sent its FIN, so the socket selects
-            # readable with no response outstanding.  Reopening *before*
-            # sending keeps that race inside the retry-safe connect phase —
-            # the alternative (retrying after a failed read) can resend a
-            # request whose first attempt was already processed.
-            try:
-                readable, _, _ = select.select([self._conn.sock], [], [], 0)
-            except (OSError, ValueError):
-                readable = [self._conn.sock]
-            if readable:
-                self._drop_connection()
-        if self._conn is None:
-            self._conn = self._new_connection()
-        return self._conn
-
-    def _drop_connection(self) -> None:
-        with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
-
-    @staticmethod
-    def _stamp_trace(request_headers: Dict[str, str]) -> None:
-        """Stamp ``X-Request-Id``/``X-Trace-Id`` from the ambient trace.
-
-        Inside a :func:`repro.telemetry.trace_context` every request of the
-        operation (including failover re-sends) carries the same id; outside
-        one, each request mints a fresh id so server logs are still joinable
-        per request.
-        """
-        trace_id = _tracing.current_trace_id()
-        request_id = trace_id or _tracing.new_trace_id()
-        request_headers[_tracing.HEADER_REQUEST_ID] = request_id
-        request_headers[_tracing.HEADER_TRACE_ID] = trace_id or request_id
-
-    def _request(
-        self,
-        method: str,
-        target: str,
-        body: Optional[bytes] = None,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> http.client.HTTPResponse:
-        """One request over the kept-alive connection.
-
-        The reconnect retries (governed by the client's
-        :class:`~repro.server.retry.RetryPolicy`) cover ONLY the
-        connect/send phase — before any response byte could have been
-        received, when resending is safe.  Once the request is on the wire,
-        a failure while reading the response raises
-        :class:`ServerConnectionError` immediately: retrying there would
-        silently issue the request twice.  The classic keep-alive race is
-        handled up front by :meth:`_connection`'s staleness probe, which is
-        what makes the narrow retry window sufficient in practice.
-        """
-        target = self._prefix + target
-        request_headers = {"Accept": protocol.CONTENT_TYPE_JSON}
-        if self.compress:
-            request_headers["Accept-Encoding"] = protocol.CONTENT_ENCODING_DEFLATE
-        self._stamp_trace(request_headers)
-        if headers:
-            request_headers.update(headers)
-        self._metric_requests.inc()
-        last_error: Optional[Exception] = None
-        conn: Optional[http.client.HTTPConnection] = None
-        retry_state = self.retry.start()
-        while True:
-            try:
-                conn = self._connection()
-                conn.request(method, target, body=body, headers=request_headers)
-                break
-            except (http.client.HTTPException, ConnectionError, socket.timeout, OSError) as exc:
-                last_error = exc
-                self._drop_connection()
-                self._metric_reconnects.inc()
-                conn = None
-                if not retry_state.wait():
-                    break
-        if conn is None:
-            raise ServerConnectionError(
-                f"request {method} {target} to {self.base_url} failed: {last_error}"
-            ) from last_error
-        try:
-            return conn.getresponse()
-        except (http.client.HTTPException, ConnectionError, socket.timeout, OSError) as exc:
-            self._drop_connection()
-            raise ServerConnectionError(
-                f"server at {self.base_url} died before answering "
-                f"{method} {target}: {exc}"
-            ) from exc
-
-    def _read_body(self, response: http.client.HTTPResponse) -> bytes:
-        try:
-            return response.read()
-        except (http.client.HTTPException, ConnectionError, socket.timeout, OSError) as exc:
-            self._drop_connection()
-            raise ServerConnectionError(
-                f"server at {self.base_url} died mid-response: {exc}"
-            ) from exc
-
-    def _call(
-        self,
-        method: str,
-        target: str,
-        body: Optional[bytes] = None,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, bytes]:
-        # The lock spans the whole request/response cycle: another thread
-        # starting a request before this response is fully read would tear
-        # the keep-alive connection (http.client CannotSendRequest) or, at
-        # worst, read the wrong response.
-        with self._lock:
-            response = self._request(method, target, body=body, headers=headers)
-            payload = self._read_body(response)
-        encoding = (response.getheader("Content-Encoding") or "").strip().lower()
-        if encoding == protocol.CONTENT_ENCODING_DEFLATE:
-            payload = protocol.inflate_body(payload)
-        elif encoding and encoding != "identity":
-            raise ProtocolError(
-                f"server sent unsupported Content-Encoding {encoding!r}"
-            )
-        if response.status != 200:
-            raise protocol.exception_from_envelope(payload, response.status)
-        return response.status, payload
-
-    # ------------------------------------------------------------------ #
-    # Service endpoints
-    # ------------------------------------------------------------------ #
     def healthz(self) -> Dict[str, object]:
         """The server's liveness payload."""
-        _, body = self._call("GET", protocol.ROUTE_HEALTH)
-        return self._json_object(body, protocol.ROUTE_HEALTH)
+        return self._run(wire.ClientCore.healthz)
 
     def stats(self, trace: bool = False) -> Dict[str, object]:
-        """The server's ``/stats`` payload (manifest, cache and counters)."""
-        target = protocol.ROUTE_STATS + ("?trace=recent" if trace else "")
-        _, body = self._call("GET", target)
-        payload = self._json_object(body, protocol.ROUTE_STATS)
-        records = payload.get("records")
-        if isinstance(records, int):
-            self._total = records
-        return payload
+        """The server's ``/stats`` payload (manifest, cache and counters);
+        ``trace=True`` adds the server's recent spans."""
+        return self._run(wire.ClientCore.stats, trace)
 
     def metrics(self) -> str:
         """The server's ``GET /metrics`` Prometheus text exposition.
@@ -301,36 +82,15 @@ class CorpusClient:
         Against a fleet, whichever worker answers merges every live
         sibling's registry first, so one call sees the whole fleet.
         """
-        _, body = self._call("GET", protocol.ROUTE_METRICS)
-        return body.decode("utf-8")
+        return self._run(wire.ClientCore.metrics)
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """The same data as :meth:`metrics`, as the JSON snapshot shape."""
-        _, body = self._call("GET", f"{protocol.ROUTE_METRICS}?format=json")
-        return self._json_object(body, protocol.ROUTE_METRICS)
-
-    @staticmethod
-    def _json_object(body: bytes, route: str) -> Dict[str, object]:
-        obj = protocol.decode_json(body)
-        if not isinstance(obj, dict):
-            raise ProtocolError(f"{route} response must be a JSON object")
-        return obj
-
-    # ------------------------------------------------------------------ #
-    # RecordReader surface
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        """Record count, fetched from ``/stats`` once and cached."""
-        if self._total is None:
-            self.stats()
-            if self._total is None:
-                raise ProtocolError("/stats response carried no integer 'records'")
-        return self._total
+        return self._run(wire.ClientCore.metrics_snapshot)
 
     def get(self, index: int) -> str:
         """The record at *index* (one ``GET /records/{i}``)."""
-        _, body = self._call("GET", f"{protocol.RECORD_PREFIX}{index}")
-        return body.decode("utf-8")
+        return self._run(wire.ClientCore.get, index)
 
     def __getitem__(self, index: int) -> str:
         return self.get(index)
@@ -338,165 +98,28 @@ class CorpusClient:
     def get_many(self, indices: Sequence[int]) -> List[str]:
         """Fetch several records in one ``POST /records:batch`` round trip."""
         indices = list(indices)
-        if not indices:
-            return []
-        _, body = self._call(
-            "POST",
-            protocol.ROUTE_BATCH,
-            body=protocol.encode_batch_request(indices),
-            headers={"Content-Type": protocol.CONTENT_TYPE_JSON},
-        )
-        records = body.decode("utf-8").split("\n")
-        if records and records[-1] == "":
-            records.pop()
-        if len(records) != len(indices):
-            raise ProtocolError(
-                f"batch response carried {len(records)} records for {len(indices)} indices"
-            )
-        return records
+        return self._run(wire.ClientCore.get_many, indices) if indices else []
 
     def sample(self, n: int, seed: Optional[int] = None) -> Tuple[List[int], List[str]]:
         """Uniform random records without replacement (``GET /records:sample``).
 
         Returns ``(indices, records)`` in ascending index order; a fixed
-        *seed* makes the draw deterministic across calls and processes.
+        *seed* makes the draw deterministic across calls, processes and
+        replicas.
         """
-        query = {"n": str(n)}
-        if seed is not None:
-            query["seed"] = str(seed)
-        _, body = self._call(
-            "GET", f"{protocol.ROUTE_SAMPLE}?{urllib.parse.urlencode(query)}"
-        )
-        payload = self._json_object(body, protocol.ROUTE_SAMPLE)
-        indices = payload.get("indices")
-        records = payload.get("records")
-        if not isinstance(indices, list) or not isinstance(records, list):
-            raise ProtocolError("sample response must carry 'indices' and 'records' lists")
-        if len(indices) != len(records):
-            raise ProtocolError(
-                f"sample response carried {len(records)} records for {len(indices)} indices"
-            )
-        total = payload.get("total")
-        if isinstance(total, int):
-            self._total = total
-        return [int(i) for i in indices], [str(r) for r in records]
+        return self._run(wire.ClientCore.sample, n, seed)
 
-    def iter_range(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> Iterator[str]:
+    def iter_range(self, start: int = 0, stop: Optional[int] = None) -> Iterator[str]:
         """Stream records ``start`` … ``stop`` (exclusive) lazily.
 
-        One ``GET /records?start=&stop=`` request; the server answers with
-        chunked transfer encoding and records are yielded as lines arrive,
-        so a range larger than memory streams in constant space.  If the
-        server dies or stalls mid-stream, :class:`ServerConnectionError` is
-        raised at the point of interruption with its ``delivered``
-        attribute set to the number of records already yielded — enough for
-        a caller (e.g. the failover client) to resume at
-        ``start + delivered`` elsewhere.
-
-        Each stream runs on a *dedicated* connection: other threads keep
-        using the shared keep-alive socket while a stream is in flight, and
-        abandoning the generator mid-way just closes the stream's own
-        socket instead of desynchronizing the shared one.
+        One ``GET /records?start=&stop=`` on a *dedicated* connection;
+        records are yielded as they arrive, so a range larger than memory
+        streams in constant space.  If the server dies or stalls
+        mid-stream, :class:`~repro.errors.ServerConnectionError` is raised
+        at the point of interruption with ``delivered`` set to the records
+        already yielded (the failover client resumes there instead).
         """
-        query = {"start": str(start)}
-        if stop is not None:
-            query["stop"] = str(stop)
-        target = (
-            self._prefix
-            + f"{protocol.ROUTE_RECORDS}?{urllib.parse.urlencode(query)}"
-        )
-        stream_headers = {"Accept": protocol.CONTENT_TYPE_TEXT}
-        if self.compress:
-            stream_headers["Accept-Encoding"] = protocol.CONTENT_ENCODING_DEFLATE
-        self._stamp_trace(stream_headers)
-        self._metric_requests.inc()
-        delivered = 0
-        conn = self._new_connection()
-        try:
-            try:
-                conn.request("GET", target, headers=stream_headers)
-                response = conn.getresponse()
-                if response.status != 200:
-                    payload = response.read()
-                    raise protocol.exception_from_envelope(payload, response.status)
-            except (http.client.HTTPException, ConnectionError, socket.timeout, OSError) as exc:
-                raise ServerConnectionError(
-                    f"request GET {target} to {self.base_url} failed: {exc}"
-                ) from exc
-            encoding = (response.getheader("Content-Encoding") or "").strip().lower()
-            inflater = None
-            if encoding == protocol.CONTENT_ENCODING_DEFLATE:
-                inflater = zlib.decompressobj()
-            elif encoding and encoding != "identity":
-                raise ProtocolError(
-                    f"server sent unsupported Content-Encoding {encoding!r}"
-                )
-            pending = b""
-            try:
-                while True:
-                    # read1, not read: read(n) buffers until n bytes or EOF
-                    # and discards the partial tail when the stream is cut,
-                    # whereas read1 hands over each transfer chunk as it
-                    # arrives — so records received before a mid-stream
-                    # death are delivered.  The server sync-flushes the
-                    # deflate stream per chunk for the same reason, so the
-                    # incremental inflater below preserves the guarantee.
-                    chunk = response.read1(DEFAULT_READ_BATCH)
-                    if not chunk:
-                        break
-                    if inflater is not None:
-                        try:
-                            chunk = inflater.decompress(chunk)
-                        except zlib.error as exc:
-                            raise ProtocolError(
-                                f"corrupt deflate stream from {self.base_url}: {exc}"
-                            ) from exc
-                        if not chunk:
-                            continue
-                    pending += chunk
-                    lines = pending.split(b"\n")
-                    pending = lines.pop()
-                    for line in lines:
-                        yield line.decode("utf-8")
-                        delivered += 1
-            except socket.timeout as exc:
-                raise ServerConnectionError(
-                    f"server at {self.base_url} stalled mid-stream "
-                    f"(no data within {self.timeout}s): {exc}",
-                    delivered=delivered,
-                ) from exc
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
-                raise ServerConnectionError(
-                    f"server at {self.base_url} died mid-stream: {exc}",
-                    delivered=delivered,
-                ) from exc
-            if inflater is not None:
-                try:
-                    pending += inflater.flush()
-                except zlib.error as exc:
-                    raise ProtocolError(
-                        f"corrupt deflate stream from {self.base_url}: {exc}"
-                    ) from exc
-                if pending:
-                    lines = pending.split(b"\n")
-                    pending = lines.pop()
-                    for line in lines:
-                        yield line.decode("utf-8")
-                        delivered += 1
-            if pending:
-                # The protocol terminates every record with \n; a dangling
-                # tail means the stream was cut (e.g. the connection dropped
-                # cleanly at a chunk boundary before the terminating chunk).
-                raise ServerConnectionError(
-                    f"record stream from {self.base_url} ended mid-record",
-                    delivered=delivered,
-                )
-        finally:
-            if delivered:
-                self._metric_stream_records.inc(delivered)
-            conn.close()
+        return self._stream(start, stop)
 
     def slice(self, start: int, stop: int) -> List[str]:
         """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped)."""
@@ -515,42 +138,163 @@ class CorpusClient:
         """Alias of :meth:`get_many`."""
         return self.get_many(indices)
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Close the kept-alive connection (idempotent; calls reopen it)."""
-        self._drop_connection()
-
-    def __enter__(self) -> "CorpusClient":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
 
-class FailoverCorpusClient:
+class CorpusClient(_Endpoints):
+    """Blocking record access to a :class:`~repro.server.app.CorpusServer`.
+
+    Parameters
+    ----------
+    base_url:
+        The server root, e.g. ``http://127.0.0.1:8765``.  A path prefix is
+        honoured (``http://host:port/corpus`` requests ``/corpus/records/…``).
+    timeout:
+        Socket timeout per operation, in seconds.
+    compress:
+        Advertise ``Accept-Encoding: deflate`` so the server may compress
+        batch and stream responses (inflated transparently).
+    retry:
+        The :class:`~repro.server.retry.RetryPolicy` governing the
+        connect/send phase (the only phase where resending is safe); the
+        default is one transparent retry with a short backoff.
+    """
+
+    def __init__(
+        self,
+        base_url: str,
+        timeout: float = DEFAULT_TIMEOUT,
+        compress: bool = True,
+        retry: Optional[RetryPolicy] = None,
+    ):
+        self._core = wire.ClientCore(base_url, timeout, compress, retry)
+        self.base_url = self._core.base_url
+        self.timeout = timeout
+        self.compress = compress
+        self.retry = self._core.retry
+        #: The kept-alive socket (None before the first call and after a drop).
+        self._conn: Optional[socket.socket] = None
+        # Serializes request/response cycles on the shared connection (the
+        # local readers' ShardReader._io_lock plays the same role).
+        self._lock = threading.RLock()
+
+    def _open(self) -> socket.socket:
+        core = self._core
+        sock = socket.create_connection((core.host, core.port), self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if core.https:
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=core.host)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+
+    def _connection(self) -> socket.socket:
+        if self._conn is not None:
+            # Keep-alive staleness probe: a server that closed this idle
+            # connection has already sent its FIN, so the socket selects
+            # readable with no response outstanding.  Reopening *before*
+            # sending keeps that race inside the retry-safe connect phase.
+            try:
+                stale = bool(select.select([self._conn], [], [], 0)[0])
+            except (OSError, ValueError):
+                stale = True
+            if stale:
+                self._drop_connection()
+        if self._conn is None:
+            self._conn = self._open()
+        return self._conn
+
+    def _drop_connection(self) -> None:
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
+
+    def _exchange(self, exchange: wire.Exchange) -> wire.Exchange:
+        """Run one unit round trip on the kept-alive connection.
+
+        The lock spans the whole cycle: another thread starting a request
+        before this response is fully read would read the wrong response.
+        """
+        with self._lock:
+            while True:
+                try:
+                    sock = self._connection()
+                    sock.sendall(exchange.request)
+                    break
+                except OSError as exc:
+                    self._drop_connection()
+                    time.sleep(exchange.retry_delay(exc))
+            try:
+                while not exchange.receive(sock.recv(wire.RECV_BYTES)):
+                    pass
+            except OSError as exc:
+                self._drop_connection()
+                raise exchange.failure(exc) from exc
+            except ReproError:
+                self._drop_connection()
+                raise
+            if not exchange.reusable:
+                self._drop_connection()
+        return exchange
+
+    def _call(
+        self,
+        method: str,
+        target: str,
+        body: Optional[bytes] = None,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> Tuple[int, bytes]:
+        """One raw request: ``(status, inflated body)``, or the typed error."""
+        exchange = self._exchange(wire.Exchange(self._core, method, target, body=body, headers=headers))
+        return exchange.head.status, exchange.payload()  # type: ignore[union-attr,return-value]
+
+    def _run(self, endpoint: Callable[..., wire.Exchange], *args):
+        return self._exchange(endpoint(self._core, *args)).result()
+
+    def _stream(self, start: int, stop: Optional[int], trace_id: Optional[str] = None) -> Iterator[str]:
+        stream = self._core.stream(start, stop, trace_id)
+        sock = None
+        try:
+            sock = self._open()
+            sock.sendall(stream.request)
+            while not stream.done:
+                yield from stream.receive(sock.recv(wire.RECV_BYTES))
+        except OSError as exc:
+            raise stream.failure(exc) from exc
+        finally:
+            stream.close()
+            if sock is not None:
+                sock.close()
+
+    def __len__(self) -> int:
+        """Record count, fetched from ``/stats`` once and cached."""
+        if self._core.total is None:
+            self.stats()
+        return self._core.length()
+
+    def close(self) -> None:
+        """Close the kept-alive connection (idempotent; calls reopen it)."""
+        self._drop_connection()
+
+
+class FailoverCorpusClient(_Endpoints):
     """Replica-aware reads over several servers of the *same* corpus.
 
-    Presents the same ``RecordReader`` surface as :class:`CorpusClient` but
-    routes each call across a set of replica URLs:
-
-    - Calls start at a rotating cursor (client-side round-robin, so load
-      spreads across replicas even from a single consumer).
-    - A *retryable* failure — :class:`~repro.errors.ServerConnectionError`
-      (refused, died mid-response) or
-      :class:`~repro.errors.ServerBusyError` (HTTP 503) — fails over to the
-      next replica in rotation; see :func:`repro.server.protocol.is_retryable`.
-    - A *fatal* typed error (404 out-of-range, 400 malformed, a named
-      library error) propagates immediately: every replica serves the same
-      corpus, so the next one would answer identically.
-    - When one full rotation yields no progress, a
-      :class:`~repro.errors.ServerConnectionError` reports the exhaustion
-      (chained to the last replica's error).
-
-    Range streams resume: if a replica dies mid-stream the iterator
-    continues on the next replica at the first *undelivered* record, so a
-    SIGKILLed replica costs latency, never records — and never duplicates.
+    Presents the :class:`CorpusClient` surface; each call walks the
+    replicas as :class:`repro.server.wire.Operation` decides — rotating
+    round-robin, failover on retryable outcomes (connection loss, HTTP 503,
+    block corruption), immediate propagation of fatal typed errors (404,
+    400), and a typed "all N replicas failed" exhaustion error.  Range
+    streams resume on the next replica at the first *undelivered* record,
+    so a SIGKILLed replica costs latency, never records, and never
+    duplicates.
 
     Parameters
     ----------
@@ -561,10 +305,9 @@ class FailoverCorpusClient:
         Forwarded to each per-replica :class:`CorpusClient`.
     retry:
         The :class:`~repro.server.retry.RetryPolicy` governing full
-        *rotations*: when every replica fails one pass, the policy decides
-        whether (and after what backoff) to sweep the fleet again before
-        raising exhaustion.  Per-replica connect retries are separate and
-        stay at the per-client default.
+        *rotations*: when every replica fails one pass, it decides whether
+        (and after what backoff) to sweep the fleet again.  Per-replica
+        connect retries stay at the per-client default.
     """
 
     def __init__(
@@ -574,188 +317,45 @@ class FailoverCorpusClient:
         compress: bool = True,
         retry: Optional[RetryPolicy] = None,
     ):
-        replica_urls = protocol.split_replica_urls(urls)
-        if not replica_urls:
-            raise ServerError(f"no replica URLs in {urls!r}")
-        self.urls: Tuple[str, ...] = tuple(replica_urls)
-        self.retry = retry if retry is not None else RetryPolicy()
-        self._clients = [
-            CorpusClient(url, timeout=timeout, compress=compress)
-            for url in replica_urls
-        ]
-        self._cursor = 0
-        self._cursor_lock = threading.Lock()
-        registry = _metrics.get_registry()
-        self._metric_rotations = registry.counter(
-            "zsmiles_client_rotations_total",
-            "Replica rotations started by the failover client",
-        )
-        self._metric_failovers = registry.counter(
-            "zsmiles_client_failovers_total",
-            "Retryable per-replica failures that moved a call to the next replica",
-        )
+        self._failover = wire.Failover(urls, retry)
+        self.urls = self._failover.urls
+        self.retry = self._failover.retry
+        self._clients = [CorpusClient(url, timeout=timeout, compress=compress) for url in self.urls]
 
-    # ------------------------------------------------------------------ #
-    # Routing
-    # ------------------------------------------------------------------ #
-    def _rotation(self) -> List[CorpusClient]:
-        """The replicas in try-order, starting at (and advancing) the cursor."""
-        with self._cursor_lock:
-            start = self._cursor
-            self._cursor = (self._cursor + 1) % len(self._clients)
-        self._metric_rotations.inc()
-        n = len(self._clients)
-        return [self._clients[(start + i) % n] for i in range(n)]
-
-    def _fan(self, op):
-        """Run *op* against replicas in rotation until one answers.
-
-        One rotation tries every replica once; the failover retry policy
-        decides how many rotations (with backoff in between) to spend
-        before raising exhaustion.
-        """
-        last_error: Optional[ReproError] = None
-        retry_state = self.retry.start()
-        # One trace id spans the whole failover chain: every replica tried
-        # (and every reconnect inside each replica's client) stamps the same
-        # X-Request-Id, so the chain is one trace across all access logs.
-        with _tracing.trace_context():
+    def _fan(self, op: Callable[[CorpusClient], _T]) -> _T:
+        """Run *op* against replicas in rotation until one answers."""
+        attempt = self._failover.operation()
+        with _tracing.trace_context(attempt.trace_id):
             while True:
-                for client in self._rotation():
-                    try:
-                        return op(client)
-                    except ReproError as exc:
-                        if not protocol.is_retryable(exc):
-                            raise
-                        self._metric_failovers.inc()
-                        last_error = exc
-                if not retry_state.wait():
-                    raise ServerConnectionError(
-                        f"all {len(self._clients)} replicas failed "
-                        f"({', '.join(self.urls)}); last error: {last_error}"
-                    ) from last_error
+                index, delay = attempt.next()
+                if delay:
+                    time.sleep(delay)
+                try:
+                    return op(self._clients[index])
+                except ReproError as exc:
+                    attempt.failed(exc)
 
-    # ------------------------------------------------------------------ #
-    # Service endpoints
-    # ------------------------------------------------------------------ #
-    def healthz(self) -> Dict[str, object]:
-        """Liveness payload from the first replica that answers."""
-        return self._fan(lambda c: c.healthz())
+    def _run(self, endpoint: Callable[..., wire.Exchange], *args):
+        return self._fan(lambda client: client._run(endpoint, *args))
 
-    def stats(self, trace: bool = False) -> Dict[str, object]:
-        """``/stats`` payload from the first replica that answers."""
-        return self._fan(lambda c: c.stats(trace=trace))
+    def _stream(self, start: int, stop: Optional[int]) -> Iterator[str]:
+        attempt = self._failover.operation(start, stop)
+        while True:
+            index, delay = attempt.next()
+            if delay:
+                time.sleep(delay)
+            try:
+                for record in self._clients[index]._stream(attempt.resume_at, stop, attempt.trace_id):
+                    attempt.advance()
+                    yield record
+                return
+            except ReproError as exc:
+                attempt.failed(exc)
 
-    def metrics(self) -> str:
-        """Prometheus exposition from the first replica that answers."""
-        return self._fan(lambda c: c.metrics())
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """JSON metrics snapshot from the first replica that answers."""
-        return self._fan(lambda c: c.metrics_snapshot())
-
-    # ------------------------------------------------------------------ #
-    # RecordReader surface
-    # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return self._fan(len)
 
-    def get(self, index: int) -> str:
-        """The record at *index*, from the first replica that answers."""
-        return self._fan(lambda c: c.get(index))
-
-    def __getitem__(self, index: int) -> str:
-        return self.get(index)
-
-    def get_many(self, indices: Sequence[int]) -> List[str]:
-        """One batch round trip, failing over between replicas."""
-        indices = list(indices)
-        if not indices:
-            return []
-        return self._fan(lambda c: c.get_many(indices))
-
-    def sample(self, n: int, seed: Optional[int] = None) -> Tuple[List[int], List[str]]:
-        """Seed-deterministic uniform sample (identical on every replica)."""
-        return self._fan(lambda c: c.sample(n, seed))
-
-    def iter_range(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> Iterator[str]:
-        """Stream ``start`` … ``stop``, resuming across replica deaths.
-
-        The stream tracks how many records it has already yielded; when the
-        serving replica dies, the next replica picks up at
-        ``start + delivered`` — exactly-once delivery without buffering.
-        Any progress resets the retry budget (a long stream may outlive
-        many replica deaths); only rotations with *zero* progress consume
-        it, and exhausting the policy with no progress raises.
-        """
-        delivered = 0
-        retry_state = self.retry.start()
-        # The resumed segments share one trace id (the context is entered in
-        # the generator frame, so it follows wherever the stream is consumed).
-        trace_id = _tracing.current_trace_id() or _tracing.new_trace_id()
-        while True:
-            progressed = False
-            last_error: Optional[ReproError] = None
-            for client in self._rotation():
-                try:
-                    with _tracing.trace_context(trace_id):
-                        stream = client.iter_range(start + delivered, stop)
-                        first = next(stream, _STREAM_DONE)
-                    for record in _chain_first(first, stream):
-                        delivered += 1
-                        progressed = True
-                        yield record
-                    return
-                except ReproError as exc:
-                    if not protocol.is_retryable(exc):
-                        raise
-                    self._metric_failovers.inc()
-                    last_error = exc
-                    if progressed:
-                        # Partial delivery: restart the rotation with a
-                        # fresh failure budget rather than burning the
-                        # remaining replicas of this one.
-                        break
-            if progressed:
-                retry_state.reset_progress()
-                continue
-            if not retry_state.wait():
-                raise ServerConnectionError(
-                    f"all {len(self._clients)} replicas failed streaming "
-                    f"[{start + delivered}, {stop}) ({', '.join(self.urls)}); "
-                    f"last error: {last_error}",
-                    delivered=delivered,
-                ) from last_error
-
-    def slice(self, start: int, stop: int) -> List[str]:
-        """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped)."""
-        return list(self.iter_range(start, stop))
-
-    def iter_all(self) -> Iterator[str]:
-        """Stream every record in order (failover included)."""
-        return self.iter_range(0, None)
-
-    # Compatibility aliases with RandomAccessReader's historical names.
-    def line(self, index: int) -> str:
-        """Alias of :meth:`get`."""
-        return self.get(index)
-
-    def lines(self, indices: Sequence[int]) -> List[str]:
-        """Alias of :meth:`get_many`."""
-        return self.get_many(indices)
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Close every replica's kept-alive connection (idempotent)."""
         for client in self._clients:
             client.close()
-
-    def __enter__(self) -> "FailoverCorpusClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -1,12 +1,12 @@
 """Multi-process serving: :class:`ServerFleet` (``zsmiles serve --workers N``).
 
-One process tops out near ~2.8k single-get req/s (``BENCH_server.json``);
-"millions of users" needs more *processes*, not a faster loop.  The fleet
-tier pre-forks N worker processes, each running the same
-:class:`~repro.server.app.CorpusServer` over its own
-:class:`~repro.library.AsyncCorpusLibrary` of the same on-disk corpus
-(shards are immutable, so N readers share nothing but the page cache), and
-presents them behind a single URL two ways:
+One process tops out near ~2.8k single-get req/s (the serving benchmark's
+``benchmarks/results/BENCH_server.json``); "millions of users" needs more
+*processes*, not a faster loop.  The fleet tier pre-forks N worker
+processes, each running the same :class:`~repro.server.app.CorpusServer`
+over its own :class:`~repro.library.AsyncCorpusLibrary` of the same on-disk
+corpus (shards are immutable, so N readers share nothing but the page
+cache), and presents them behind a single URL two ways:
 
 **SO_REUSEPORT mode** (Linux/BSD, the default where available)
     Every worker binds the *same* host:port with ``SO_REUSEPORT`` and the
@@ -52,7 +52,7 @@ from ..errors import ServerBusyError, ServerError
 from ..library import DEFAULT_POOL_SIZE, DEFAULT_STREAM_BATCH, AsyncCorpusLibrary
 from ..store.reader import DEFAULT_CACHE_BLOCKS
 from ..telemetry.logs import open_access_log
-from . import protocol
+from . import protocol, wire
 from .app import DEFAULT_GRACE, DEFAULT_HOST, CorpusServer
 
 PathLike = Union[str, Path]
@@ -432,17 +432,10 @@ class ServerFleet:
         if backend is None:
             # Every backend refused: answer with the typed, *retryable*
             # envelope so failover clients treat the whole fleet as busy.
-            status, body = protocol.encode_error(
-                ServerBusyError("no live fleet workers")
-            )
-            head = (
-                f"HTTP/1.1 {status} {protocol.STATUS_REASONS[status]}\r\n"
-                f"Content-Type: {protocol.CONTENT_TYPE_JSON}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n"
-            )
+            status, body = protocol.encode_error(ServerBusyError("no live fleet workers"))
+            head = wire.response_head(status, protocol.CONTENT_TYPE_JSON, len(body))
             try:
-                writer.write(head.encode("ascii") + body)
+                writer.write(head + body)
                 await writer.drain()
             except (ConnectionError, OSError):
                 pass

@@ -1,8 +1,11 @@
 """The wire schema shared by the corpus server and its clients.
 
-One module pins everything both sides must agree on, so the server
-(:mod:`repro.server.app`) and the blocking client
-(:mod:`repro.server.client`) cannot drift apart:
+One module pins *what* travels — everything both sides must agree on — so
+the server (:mod:`repro.server.app`), the fleet, and both client drivers
+(:mod:`repro.server.client`, :mod:`repro.server.async_client`) cannot
+drift apart.  *How* it travels — HTTP/1.1 framing, parsing and encoding,
+the clients' endpoint calls and failover decisions — is the sans-IO core in
+:mod:`repro.server.wire`, which all of them run:
 
 * **Routes** — ``/healthz``, ``/stats``, ``/records/{i}``,
   ``/records:batch`` and the ``/records?start=&stop=`` range stream.
@@ -276,19 +279,24 @@ def encode_records_body(records: List[str]) -> bytes:
 #: laxer — it swallows ``"+5"``, ``" 5 "``, ``"1_0"`` and non-ASCII digits —
 #: and the laxest inputs used to reach handlers as values no local call could
 #: ever produce.  Strict decimal keeps remote inputs inside the local domain.
-_STRICT_INT_RE = re.compile(r"^-?[0-9]+$")
+#: (``\Z``, not ``$``: ``$`` also matches before a trailing newline.)
+_STRICT_INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
 def parse_query_int(name: str, raw: str) -> int:
     """Parse one query/path integer strictly, or raise :class:`ProtocolError`.
 
     Every malformed value — non-numeric, underscore separators, leading
-    ``+``, surrounding whitespace, non-ASCII digits — is an HTTP 400
-    envelope, never a 500 out of a surprised handler.
+    ``+``, surrounding whitespace, a trailing newline, non-ASCII digits, more
+    digits than the interpreter converts — is an HTTP 400 envelope, never a
+    500 out of a surprised handler.
     """
-    if not _STRICT_INT_RE.match(raw):
-        raise ProtocolError(f"{name} must be a decimal integer, got {raw!r}")
-    return int(raw)
+    if _STRICT_INT_RE.match(raw):
+        try:
+            return int(raw)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            pass
+    raise ProtocolError(f"{name} must be a decimal integer, got {raw!r}")
 
 
 def parse_range_query(query: Dict[str, str], total: int) -> Tuple[int, int]:

@@ -381,6 +381,10 @@ class TestStrictWireIntegers:
             "/records:sample?n=%2B5",
             "/records:sample?n=1&seed=1_0",
             "/records/0?start=x",           # sanity: unrelated query ignored
+            "/records/1_0",                 # the path index is strict too
+            "/records/+5",
+            "/records?start=1%0A",          # trailing newline
+            "/records/" + "9" * 5000,       # past int()'s digit limit
         ],
     )
     def test_lax_integer_spelling_is_400_envelope(self, server, target):
