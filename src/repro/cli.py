@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--raw", action="store_true",
                        help="print stored (compressed) records without decoding")
     query.add_argument("--cache-blocks", type=int, default=DEFAULT_CACHE_BLOCKS,
-                       metavar="N", help="decoded blocks kept in the LRU cache "
+                       metavar="N", help="blocks kept in the LRU cache "
                                          f"(default: {DEFAULT_CACHE_BLOCKS})")
     query.add_argument("--mmap", action="store_true",
                        help="serve block reads from a read-only memory map")
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="async reader-pool size = max concurrent block decodes "
                             f"(default: {DEFAULT_POOL_SIZE})")
     serve.add_argument("--cache-blocks", type=int, default=DEFAULT_CACHE_BLOCKS,
-                       metavar="N", help="shared LRU budget of decoded blocks "
+                       metavar="N", help="shared LRU budget of cached blocks "
                                          f"(default: {DEFAULT_CACHE_BLOCKS})")
     serve.add_argument("--mmap", action="store_true",
                        help="serve block reads from read-only memory maps")

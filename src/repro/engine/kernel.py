@@ -33,11 +33,12 @@ Selection
 :class:`BlockKernel` wraps one :class:`~repro.core.codec.ZSmilesCodec` and is
 what the execution layers use: the ``"kernel"`` engine backend (the default
 in-process path — ``EngineConfig(parser="reference")`` restores the oracle),
-process-pool workers, and the ``.zss`` block decoder.
+process-pool workers, and the ``.zss`` reader's record decode.
 """
 
 from __future__ import annotations
 
+import codecs
 import threading
 from typing import List, Optional, Sequence, Tuple
 
@@ -56,28 +57,6 @@ ALPHABET_SIZE = 256
 ESCAPE_BYTE = ord(ESCAPE_CHAR)
 
 
-def _kernel_instruments():
-    """The kernel's per-block counters (idempotent registration; looked up
-    per block — the hot loops aggregate locally and report once)."""
-    registry = _metrics.get_registry()
-    lines = registry.counter(
-        "zsmiles_kernel_lines_total",
-        "Lines moved through the block kernel, by operation",
-        labels=("op",),
-    )
-    out_bytes = registry.counter(
-        "zsmiles_kernel_bytes_total",
-        "Output bytes produced by the block kernel, by operation",
-        labels=("op",),
-    )
-    fallbacks = registry.counter(
-        "zsmiles_kernel_reference_fallback_total",
-        "Lines that fell back to the reference codec path, by operation",
-        labels=("op",),
-    )
-    return lines, out_bytes, fallbacks
-
-
 class KernelUnsupportedError(ReproError):
     """Raised when a codec table cannot be compiled into a flat automaton."""
 
@@ -92,6 +71,13 @@ class CodecAutomaton:
       is the next state after reading byte ``b`` in state ``s`` (-1 = no edge),
     * ``accept_length`` — pattern length terminating at each state (0 = none),
     * ``accept_symbol`` — symbol byte emitted for that pattern (-1 = none).
+
+    Decompression reads one more table, ``_decode_map``: the pattern text of
+    every symbol byte, ``None`` for the escape marker, the line terminators
+    and bytes that are no symbol.  :func:`codecs.charmap_decode` expands a
+    record through it in C; a record it cannot map (an escape, an unknown
+    symbol) takes the per-byte loop, which decodes or rejects it exactly as
+    the reference does.
 
     All compression work then happens over ``bytes`` / ``bytearray`` and
     preallocated integer lists: the DP cost table, the per-position best
@@ -110,6 +96,7 @@ class CodecAutomaton:
         "_accept_length",
         "_accept_symbol",
         "_patterns_by_byte",
+        "_decode_map",
         "_cost",
         "_best_length",
         "_best_symbol",
@@ -153,6 +140,10 @@ class CodecAutomaton:
         self._accept_length = accept_length
         self._accept_symbol = accept_symbol
         self._patterns_by_byte = patterns_by_byte
+        decode_map = [None if p is None else p.decode("latin-1") for p in patterns_by_byte]
+        for byte in (ESCAPE_BYTE, ord("\n"), ord("\r")):
+            decode_map[byte] = None
+        self._decode_map = tuple(decode_map)
         # Reusable scratch: DP tables sized to the longest line seen so far.
         self._cost: List[int] = []
         self._best_length: List[int] = []
@@ -287,9 +278,13 @@ class CodecAutomaton:
         """Decode one Latin-1 compressed record back to SMILES text.
 
         Unlike the compression scratch arrays this allocates a local buffer:
-        decompression serves concurrent readers (the ``.zss`` block decode
-        path is hammered from multiple threads), so it must stay re-entrant.
+        decompression serves concurrent readers (the ``.zss`` reader decodes
+        records from multiple threads), so it must stay re-entrant.
         """
+        try:
+            return codecs.charmap_decode(data, "strict", self._decode_map)[0]
+        except UnicodeDecodeError:
+            pass  # an escape or an unknown symbol: the loop decodes or rejects it
         n = len(data)
         patterns = self._patterns_by_byte
         buffer = bytearray()
@@ -326,9 +321,13 @@ class BlockKernel:
     ``compress_block`` applies the codec's preprocessing pipeline, honours its
     parse strategy (optimal or greedy) and returns the aggregate match /
     escape counters the engine's statistics need.
+
+    Its counters (lines, output bytes and reference fallbacks, by operation)
+    are resolved once, at construction, so a one-record call pays no metric
+    lookup; the hot loops aggregate locally and report once per call.
     """
 
-    __slots__ = ("codec", "automaton", "_greedy", "_compress_lock")
+    __slots__ = ("codec", "automaton", "_greedy", "_compress_lock", "_counters")
 
     def __init__(self, codec):
         self.codec = codec
@@ -340,6 +339,29 @@ class BlockKernel:
         # threads never gained compression parallelism here.  Decompression
         # takes no lock: its kernel path is re-entrant by construction.
         self._compress_lock = threading.Lock()
+        registry = _metrics.get_registry()
+        families = (
+            registry.counter(
+                "zsmiles_kernel_lines_total",
+                "Lines moved through the block kernel, by operation",
+                labels=("op",),
+            ),
+            registry.counter(
+                "zsmiles_kernel_bytes_total",
+                "Output bytes produced by the block kernel, by operation",
+                labels=("op",),
+            ),
+            registry.counter(
+                "zsmiles_kernel_reference_fallback_total",
+                "Lines that fell back to the reference codec path, by operation",
+                labels=("op",),
+            ),
+        )
+        #: ``op -> (lines, bytes, fallbacks)`` counter children.
+        self._counters = {
+            op: tuple(family.labels(op) for family in families)
+            for op in ("compress", "decompress")
+        }
 
     # ------------------------------------------------------------------ #
     def compress_block(self, lines: Sequence[str]) -> Tuple[List[str], int, int]:
@@ -389,22 +411,22 @@ class BlockKernel:
             matches += line_matches
             escapes += line_escapes
             out_bytes += len(compressed)
-        metric_lines, metric_bytes, metric_fallbacks = _kernel_instruments()
-        metric_lines.labels("compress").inc(len(out))
-        metric_bytes.labels("compress").inc(out_bytes)
+        metric_lines, metric_bytes, metric_fallbacks = self._counters["compress"]
+        metric_lines.inc(len(out))
+        metric_bytes.inc(out_bytes)
         if fallback_lines:
-            metric_fallbacks.labels("compress").inc(fallback_lines)
+            metric_fallbacks.inc(fallback_lines)
         return out, matches, escapes
 
     def decompress_block(self, lines: Sequence[str]) -> List[str]:
         """Decompress *lines* (one output per input, order preserved)."""
         automaton = self.automaton
-        metric_lines, metric_bytes, metric_fallbacks = _kernel_instruments()
+        metric_lines, metric_bytes, metric_fallbacks = self._counters["decompress"]
         if automaton is None:
             out = [self.codec.decompress(line) for line in lines]
-            metric_lines.labels("decompress").inc(len(out))
-            metric_bytes.labels("decompress").inc(sum(len(r) for r in out))
-            metric_fallbacks.labels("decompress").inc(len(out))
+            metric_lines.inc(len(out))
+            metric_bytes.inc(sum(len(r) for r in out))
+            metric_fallbacks.inc(len(out))
             return out
         decompress_line = automaton.decompress_line
         reference = self.codec.decompressor.decompress_line
@@ -430,10 +452,10 @@ class BlockKernel:
             decoded = decompress_line(data)
             append(decoded)
             out_bytes += len(decoded)
-        metric_lines.labels("decompress").inc(len(out))
-        metric_bytes.labels("decompress").inc(out_bytes)
+        metric_lines.inc(len(out))
+        metric_bytes.inc(out_bytes)
         if fallback_lines:
-            metric_fallbacks.labels("decompress").inc(fallback_lines)
+            metric_fallbacks.inc(fallback_lines)
         return out
 
     # ------------------------------------------------------------------ #
@@ -447,10 +469,10 @@ class BlockKernel:
             out.append(record.compressed)
             matches += record.matches
             escapes += record.escapes
-        metric_lines, metric_bytes, metric_fallbacks = _kernel_instruments()
-        metric_lines.labels("compress").inc(len(out))
-        metric_bytes.labels("compress").inc(sum(len(r) for r in out))
-        metric_fallbacks.labels("compress").inc(len(out))
+        metric_lines, metric_bytes, metric_fallbacks = self._counters["compress"]
+        metric_lines.inc(len(out))
+        metric_bytes.inc(sum(len(r) for r in out))
+        metric_fallbacks.inc(len(out))
         return out, matches, escapes
 
 

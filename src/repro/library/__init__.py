@@ -65,6 +65,23 @@ Serving::
     with open_reader("http://127.0.0.1:8765") as remote:
         remote.get(123), remote.get_many(batch)
 
+The block cache
+===============
+
+The block is the unit of I/O, of CRC checking and of caching, but not of
+decoding.  A cache miss reads one block, checks its CRC-32 and splits it
+into its stored records; the cached block holds those verified stored
+records plus the records decoded so far.  A record decodes the first time
+it is read and stays decoded, so a cold ``get`` decodes one record (not
+its whole block) and a warm hot set decodes nothing; ``iter_all`` (and
+unpack, repack and ``read_store_records``, which read through it) decodes
+a block's missing records in one kernel call.  ``get_raw`` reads the same
+entries: there is one cache and one budget, ``cache_blocks`` blocks,
+shared by every shard of a library and every reader of an
+:class:`AsyncCorpusLibrary` pool.  Because records decode on their own, a
+record is served even when another record of its block cannot be decoded
+(a wrong codec override, or a hand-built shard).
+
 Migrating from ``open_reader``
 ==============================
 

@@ -67,12 +67,12 @@ class AsyncCorpusLibrary:
 
         The pooled readers hold independent file handles (so blocking reads
         never contend on a seek position) but share one ``cache_blocks``
-        LRU budget: a block decoded by any reader is a cache hit for all.
+        LRU budget: a block loaded (or a record decoded) by any reader is a
+        cache hit for all.
         """
         if pool_size < 1:
             raise LibraryError("pool_size must be >= 1")
         shared_cache = BlockCache(cache_blocks)
-        shared_raw_cache = BlockCache(cache_blocks)
         readers: List[CorpusLibrary] = []
         try:
             for _ in range(pool_size):
@@ -84,7 +84,6 @@ class AsyncCorpusLibrary:
                         verify_checksums=verify_checksums,
                         use_mmap=use_mmap,
                         cache=shared_cache,
-                        raw_cache=shared_raw_cache,
                     )
                 )
         except Exception:
@@ -113,7 +112,7 @@ class AsyncCorpusLibrary:
         return self._readers[0].dictionary_identity()
 
     def cache_stats(self) -> dict:
-        """Shared decoded-block cache counters across the whole reader pool.
+        """Shared block cache counters across the whole reader pool.
 
         :meth:`open` hands every pooled reader the same :class:`BlockCache`,
         so the first reader's snapshot *is* the pool aggregate.

@@ -46,7 +46,6 @@ class CorpusLibrary:
         verify_checksums: bool = True,
         use_mmap: bool = False,
         cache: Optional[BlockCache] = None,
-        raw_cache: Optional[BlockCache] = None,
     ) -> "CorpusLibrary":
         """Open a library directory, a ``library.json``, or a bare ``.zss``."""
         path = Path(source)
@@ -59,7 +58,6 @@ class CorpusLibrary:
                 verify_checksums=verify_checksums,
                 use_mmap=use_mmap,
                 cache=cache,
-                raw_cache=raw_cache,
             )
             return cls(store, manifest_path)
         if path.suffix == STORE_SUFFIX and path.is_file():
@@ -72,7 +70,6 @@ class CorpusLibrary:
                 verify_checksums=verify_checksums,
                 use_mmap=use_mmap,
                 cache=cache,
-                raw_cache=raw_cache,
             )
             return cls(store, path)
         raise LibraryError(
@@ -112,7 +109,7 @@ class CorpusLibrary:
         return self.store.cache_misses
 
     def cache_stats(self) -> dict:
-        """Hit/miss/occupancy snapshot of the shared decoded-block cache."""
+        """Hit/miss/occupancy snapshot of the shared block cache."""
         return self.store.cache_stats()
 
     def quarantine_stats(self) -> dict:

@@ -5,7 +5,7 @@ routing come straight from ``library.json``, so *no* shard file is opened
 until one of its records is actually requested (``open_shard_count`` makes
 that observable).  All shards share one LRU block-cache budget through
 :class:`~repro.store.reader.BlockCacheView` — a library of 64 shards under
-``cache_blocks=16`` holds at most 16 decoded blocks in memory, not 1024.
+``cache_blocks=16`` holds at most 16 blocks in memory, not 1024.
 
 The class satisfies the :class:`~repro.store.protocol.RecordReader`
 protocol, so everything that serves records (screening, dataset loaders,
@@ -46,15 +46,15 @@ class ShardedCorpusStore(RecordAccessMixin):
     codec:
         Codec override; per-shard embedded dictionaries are used when omitted.
     cache_blocks:
-        Shared LRU budget: the maximum number of decoded blocks cached across
-        *all* shards together (ignored when *cache* is given).
+        Shared LRU budget: the maximum number of blocks cached across *all*
+        shards together (ignored when *cache* is given).
     verify_checksums:
-        Validate block CRC-32s on first decode.
+        Validate block CRC-32s when a block is loaded.
     use_mmap:
         Serve shard block reads from read-only memory maps.
-    cache / raw_cache:
-        Externally owned :class:`~repro.store.reader.BlockCache` instances
-        replacing the store's private ones, so several stores (e.g. an
+    cache:
+        An externally owned :class:`~repro.store.reader.BlockCache`
+        replacing the store's private one, so several stores (e.g. an
         async reader pool) share one budget.  Entries are keyed by resolved
         shard path, so distinct libraries can share a cache safely —
         provided the sharers decode with the same codec.
@@ -69,7 +69,6 @@ class ShardedCorpusStore(RecordAccessMixin):
         verify_checksums: bool = True,
         use_mmap: bool = False,
         cache: Optional[BlockCache] = None,
-        raw_cache: Optional[BlockCache] = None,
     ):
         self.manifest = manifest
         self.root = Path(root)
@@ -77,7 +76,6 @@ class ShardedCorpusStore(RecordAccessMixin):
         self.verify_checksums = verify_checksums
         self.use_mmap = use_mmap
         self._cache = cache if cache is not None else BlockCache(cache_blocks)
-        self._raw_cache = raw_cache if raw_cache is not None else BlockCache(cache_blocks)
         self._readers: List[Optional[ShardReader]] = [None] * manifest.shard_count
         self._open_lock = threading.Lock()
 
@@ -112,7 +110,6 @@ class ShardedCorpusStore(RecordAccessMixin):
                         verify_checksums=self.verify_checksums,
                         use_mmap=self.use_mmap,
                         cache=BlockCacheView(self._cache, namespace),
-                        raw_cache=BlockCacheView(self._raw_cache, namespace),
                     )
                     if len(reader) != entry.records:
                         actual = len(reader)
@@ -165,7 +162,7 @@ class ShardedCorpusStore(RecordAccessMixin):
 
     @property
     def cached_blocks(self) -> int:
-        """Decoded blocks currently held by the shared cache."""
+        """Blocks currently held by the shared cache."""
         return len(self._cache)
 
     @property
@@ -181,7 +178,7 @@ class ShardedCorpusStore(RecordAccessMixin):
         return self._cache.misses
 
     def cache_stats(self) -> dict:
-        """Hit/miss/occupancy snapshot of the shared decoded-block cache."""
+        """Hit/miss/occupancy snapshot of the shared block cache."""
         return self._cache.stats()
 
     def quarantine_stats(self) -> dict:

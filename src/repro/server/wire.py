@@ -175,7 +175,8 @@ class Parser:
     """Incremental parser of the messages one side of a connection receives.
 
     ``Parser(requests=True)`` reads requests (the server side); the default
-    reads responses.  Requests are framed by ``Content-Length`` alone;
+    reads responses.  Requests are framed by ``Content-Length`` alone (a
+    request head carrying ``Transfer-Encoding`` is a :class:`ProtocolError`);
     responses by chunks, by ``Content-Length``, or by the connection's
     close.  The outcome never depends on how the bytes were split across
     :meth:`feed` calls.
@@ -315,6 +316,12 @@ class Parser:
         head = self.head
         assert head is not None
         length = head.headers.get("content-length")
+        if self._requests and "transfer-encoding" in head.headers:
+            # Its body could not be framed: the bytes after the head would be
+            # read as the next request.
+            raise ProtocolError(
+                "request bodies must be framed by Content-Length, not Transfer-Encoding"
+            )
         if not self._requests and head.headers.get("transfer-encoding", "").lower() == "chunked":
             self._state = _CHUNK_SIZE
         elif length is None:

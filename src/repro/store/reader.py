@@ -1,18 +1,28 @@
 """Reading records back out of ``.zss`` shards.
 
 :class:`ShardReader` serves one shard with O(1) record → block lookup
-(``record // records_per_block``), per-block CRC validation and an LRU cache
-of decoded blocks, so repeated lookups in a hot region never re-read or
-re-decompress.  :class:`CorpusStore` composes one or more shards behind the
-same :class:`~repro.store.protocol.RecordReader` surface as the flat
-:class:`~repro.core.random_access.RandomAccessReader`.
+(``record // records_per_block``).  :class:`CorpusStore` composes one or more
+shards behind the same :class:`~repro.store.protocol.RecordReader` surface as
+the flat :class:`~repro.core.random_access.RandomAccessReader`.
 
-Serving one record touches exactly one block: the reader seeks to the block's
-footer-recorded offset and reads ``length`` bytes — never the whole file.
-The :attr:`ShardReader.blocks_decoded` / :attr:`ShardReader.bytes_read`
-counters make that property testable.  Block decodes run through the
-flat-array kernel (:class:`~repro.engine.kernel.BlockKernel`), byte-identical
-to the per-line reference decompressor.
+The block is the unit of I/O, of integrity checking and of caching, but not
+of decoding.  A cache miss seeks to the block's footer-recorded offset, reads
+``length`` bytes (never the whole file), checks the CRC-32 and splits the
+payload into its stored records — once per block load.  The cached entry
+holds those verified stored records plus the records decoded so far: a
+record decodes the first time it is read and is kept, so ``get(i)`` decodes
+one line, a warm hot set decodes nothing, and whole-block readers
+(``iter_all`` and everything built on it) decode a block's missing records
+in one kernel call.  ``get_raw`` serves the stored records of the same
+entry, so a reader has one cache and one budget.
+
+Records are independent (the paper's separable SMILES), so a record that
+decodes is served even when another record of its block would raise
+:class:`~repro.errors.DecompressionError`.  The
+:attr:`ShardReader.blocks_decoded` / :attr:`ShardReader.bytes_read` counters
+count block loads and make the one-block property testable.  Records decode
+through the flat-array kernel (:class:`~repro.engine.kernel.BlockKernel`),
+byte-identical to the per-line reference decompressor.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ import time
 from bisect import bisect_right
 from collections import OrderedDict
 from pathlib import Path
-from typing import BinaryIO, Dict, Hashable, Iterator, List, Optional, Sequence, Union
+from typing import BinaryIO, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.codec import ZSmilesCodec
 from ..dictionary import serialization
@@ -41,53 +51,61 @@ from .format import (
 
 PathLike = Union[str, Path]
 
-#: Default number of decoded blocks kept in the LRU cache.
+#: Default number of blocks kept in the LRU cache.
 DEFAULT_CACHE_BLOCKS = 16
+
+#: One cached block: its verified stored records, and its records decoded so
+#: far (``None`` where not yet decoded; the stored list itself when the
+#: reader has no codec).
+CachedBlock = Tuple[List[str], List[Optional[str]]]
 
 
 class BlockCache:
-    """Thread-safe LRU cache mapping a block key -> decoded record list.
+    """Thread-safe LRU cache mapping a block key -> its cached entry.
 
     Keys are arbitrary hashable values: a lone :class:`ShardReader` uses plain
     block numbers, while :class:`~repro.library.ShardedCorpusStore` shares one
     cache across shards through :class:`BlockCacheView`, whose keys are
     ``(shard path, block)`` pairs — one capacity budget for the whole library
-    (or several libraries sharing a cache).
+    (or several libraries sharing a cache).  :class:`ShardReader` stores one
+    :data:`CachedBlock` per block.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise StoreFormatError("cache capacity must be >= 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, List[str]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         registry = _metrics.get_registry()
-        self._metric_lookups = registry.counter(
+        lookups = registry.counter(
             "zsmiles_cache_lookups_total",
             "Block cache lookups, by outcome",
             labels=("outcome",),
         )
+        self._metric_hit = lookups.labels("hit")
+        self._metric_miss = lookups.labels("miss")
         self._metric_evictions = registry.counter(
             "zsmiles_cache_evictions_total",
-            "Decoded blocks evicted by LRU pressure",
+            "Cached blocks evicted by LRU pressure",
         )
 
-    def get(self, key: Hashable) -> Optional[List[str]]:
+    def get(self, key: Hashable) -> Optional[object]:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                self._metric_lookups.labels("miss").inc()
+                self._metric_miss.inc()
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            self._metric_lookups.labels("hit").inc()
+            self._metric_hit.inc()
             return entry
 
-    def put(self, key: Hashable, value: List[str]) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
@@ -122,10 +140,6 @@ class BlockCache:
             }
 
 
-#: Backwards-compatible private alias (pre-library name).
-_BlockCache = BlockCache
-
-
 class BlockCacheView:
     """A namespaced window onto a shared :class:`BlockCache`.
 
@@ -151,10 +165,10 @@ class BlockCacheView:
     def misses(self) -> int:
         return self.shared.misses
 
-    def get(self, key: Hashable) -> Optional[List[str]]:
+    def get(self, key: Hashable) -> Optional[object]:
         return self.shared.get((self.namespace, key))
 
-    def put(self, key: Hashable, value: List[str]) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         self.shared.put((self.namespace, key), value)
 
     def __contains__(self, key: Hashable) -> bool:
@@ -233,16 +247,16 @@ class ShardReader(RecordAccessMixin):
         returned as stored (compressed text), mirroring a codec-less
         :class:`~repro.core.random_access.RandomAccessReader`.
     cache_blocks:
-        Decoded blocks kept in the LRU cache (ignored when *cache* is given).
+        Blocks kept in the LRU cache (ignored when *cache* is given).
     verify_checksums:
-        Validate each block's CRC-32 on first decode.
+        Validate each block's CRC-32 when it is loaded.
     use_mmap:
         Serve block reads out of a read-only memory map instead of
         ``seek``/``read`` on the file handle.  Byte-identical to the
         handle path; requires a real file (one with a file descriptor).
-    cache / raw_cache:
-        Externally owned caches (:class:`BlockCache` or
-        :class:`BlockCacheView`) replacing the reader's private ones, so
+    cache:
+        An externally owned cache (:class:`BlockCache` or
+        :class:`BlockCacheView`) replacing the reader's private one, so
         several shards can share one LRU budget.
     """
 
@@ -254,7 +268,6 @@ class ShardReader(RecordAccessMixin):
         verify_checksums: bool = True,
         use_mmap: bool = False,
         cache: Optional[Union[BlockCache, BlockCacheView]] = None,
-        raw_cache: Optional[Union[BlockCache, BlockCacheView]] = None,
     ):
         self.path: Optional[Path]
         if hasattr(source, "read"):
@@ -278,7 +291,6 @@ class ShardReader(RecordAccessMixin):
             raise
         self.verify_checksums = verify_checksums
         self._cache = cache if cache is not None else BlockCache(cache_blocks)
-        self._raw_cache = raw_cache if raw_cache is not None else BlockCache(cache_blocks)
         self.codec = codec if codec is not None else self._embedded_codec()
         self._kernel = None  # lazy BlockKernel, rebuilt if the codec is swapped
         self.blocks_decoded = 0
@@ -291,17 +303,17 @@ class ShardReader(RecordAccessMixin):
         registry = _metrics.get_registry()
         self._metric_decode_seconds = registry.histogram(
             "zsmiles_store_block_decode_seconds",
-            "Wall time of one cache-miss block load+decode",
+            "Wall time of one cache-miss block load (read, check, split)",
         )
         self._metric_blocks_decoded = registry.counter(
             "zsmiles_store_blocks_decoded_total",
-            "Blocks decoded from shards",
+            "Blocks loaded from shards (read, checked, split)",
         )
         self._metric_reads = registry.counter(
             "zsmiles_store_reads_total",
             "Block payload reads, by I/O mode",
             labels=("io",),
-        )
+        ).labels("mmap" if use_mmap else "handle")
         self._metric_read_bytes = registry.counter(
             "zsmiles_store_read_bytes_total",
             "Bytes read from shard payloads",
@@ -378,7 +390,7 @@ class ShardReader(RecordAccessMixin):
         return self._cache.misses
 
     def cache_stats(self) -> Dict[str, int]:
-        """Decoded-block cache counters (shared aggregates for pooled caches)."""
+        """Block cache counters (shared aggregates for pooled caches)."""
         return self._cache.stats()
 
     def quarantine_stats(self) -> Dict[str, object]:
@@ -412,25 +424,37 @@ class ShardReader(RecordAccessMixin):
         return index // self.records_per_block
 
     def get(self, index: int) -> str:
-        """The record at *index*, decompressed when a codec is available."""
+        """The record at *index*, decompressed when a codec is available.
+
+        Decodes this one record the first time it is read; its block is
+        loaded only on a cache miss.
+        """
         block = self.block_of(index)
-        records = self._block_records(block)
-        return records[index - block * self.records_per_block]
+        offset = index - block * self.records_per_block
+        stored, decoded = self._cached_block(block)
+        record = decoded[offset]
+        if record is None:
+            record = decoded[offset] = self._decompress([stored[offset]])[0]
+        return record
 
     def get_raw(self, index: int) -> str:
         """The stored (compressed) record at *index* (LRU-cached per block)."""
         block = self.block_of(index)
-        stored = self._raw_cache.get(block)
-        if stored is None:
-            self._check_quarantine(block)
-            stored = self._load_payload(block)
-            self._raw_cache.put(block, stored)
-        return stored[index - block * self.records_per_block]
+        return self._cached_block(block)[0][index - block * self.records_per_block]
 
     def iter_all(self) -> Iterator[str]:
-        """Iterate over every record in order, one block at a time."""
+        """Iterate over every record in order, one block at a time.
+
+        A block's not-yet-decoded records decode in one kernel call.
+        """
         for block in range(self.block_count):
-            yield from self._block_records(block)
+            stored, decoded = self._cached_block(block)
+            missing = [k for k, record in enumerate(decoded) if record is None]
+            if missing:
+                records = self._decompress([stored[k] for k in missing])
+                for k, record in zip(missing, records):
+                    decoded[k] = record
+            yield from decoded
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -464,7 +488,7 @@ class ShardReader(RecordAccessMixin):
                 assert self._handle is not None
                 self._handle.seek(info.offset)
                 payload = self._handle.read(info.length)
-        self._metric_reads.labels("mmap" if self.use_mmap else "handle").inc()
+        self._metric_reads.inc()
         self._metric_read_bytes.inc(len(payload))
         if len(payload) != info.length:
             raise self._quarantine(block, f"block {block}: short read; truncated shard")
@@ -493,31 +517,32 @@ class ShardReader(RecordAccessMixin):
         self._metric_quarantine.labels("hit").inc()
         raise BlockCorruptionError(message, shard_path=self.path, block=block)
 
-    def _block_records(self, block: int) -> List[str]:
-        """Decoded (decompressed) records of one block, LRU-cached."""
-        cached = self._cache.get(block)
-        if cached is not None:
-            return cached
+    def _cached_block(self, block: int) -> CachedBlock:
+        """The cache entry of *block*, loading the block on a miss.
+
+        A load reads, checks and splits the payload once; records decode
+        later, one by one as they are read.
+        """
+        entry = self._cache.get(block)
+        if entry is not None:
+            return entry  # type: ignore[return-value]
         self._check_quarantine(block)
         started = time.perf_counter()
         stored = self._load_payload(block)
-        if self.codec is not None:
-            records = self._decompress_block(stored)
-        else:
-            records = stored
+        entry = (stored, stored if self.codec is None else [None] * len(stored))
         with self._io_lock:
             self.blocks_decoded += 1
         self._metric_blocks_decoded.inc()
         self._metric_decode_seconds.observe(time.perf_counter() - started)
-        self._cache.put(block, records)
-        return records
+        self._cache.put(block, entry)
+        return entry
 
-    def _decompress_block(self, stored: List[str]) -> List[str]:
-        """Decode one block through the flat-array kernel (reference parity).
+    def _decompress(self, stored: List[str]) -> List[str]:
+        """Decode stored records through the flat-array kernel (reference parity).
 
         The kernel is compiled lazily from the reader's codec and rebuilt if
         the ``codec`` attribute is swapped; its decompression path is
-        re-entrant, so concurrent block decodes can share it.
+        re-entrant, so concurrent decodes can share it.
         """
         kernel = self._kernel
         if kernel is None or kernel.codec is not self.codec:

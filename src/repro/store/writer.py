@@ -95,7 +95,8 @@ class ShardWriter:
         are added.
     records_per_block:
         Records stored per block — the random-access granularity: a reader
-        decodes this many records to serve one.
+        reads and checks this many records to serve one (and decodes only
+        the one).
     backend:
         Engine backend name for packing batches (``None`` = the engine's
         configured backend, typically ``"auto"``).

@@ -5,7 +5,7 @@ metrics registry with Prometheus exposition, ``contextvars``-propagated
 trace spans, and structured JSON access logs.  Every tier is already
 instrumented — the server (per-route counters and latency/size
 histograms), the clients (requests, retries, rotations, stream
-progress), the store (block decode latency, cache hits/misses/evictions,
+progress), the store (block load latency, cache hits/misses/evictions,
 mmap vs handle reads, quarantine events), the engine kernel (lines and
 bytes moved, reference fallbacks), the campaign driver (generation
 timings, operator accept/reject), and the fault layer (``faults_*``).
@@ -32,11 +32,11 @@ definition::
 
     _DECODES = tm.counter(
         "zsmiles_store_blocks_decoded_total",
-        "Blocks decoded from shards",
+        "Blocks loaded from shards (read, checked, split)",
     )
     _LATENCY = tm.histogram(
         "zsmiles_store_block_decode_seconds",
-        "Wall time of one block load+decode",
+        "Wall time of one cache-miss block load (read, check, split)",
     )
     ...
     _DECODES.inc()

@@ -257,6 +257,47 @@ class TestHypothesisParity:
         assert kernel.compress_block(lines) == (expected, matches, escapes)
 
 
+def _decoded_or_error(decode, lines):
+    """*decode*'s output for *lines*, or the text of the DecompressionError."""
+    try:
+        return decode(lines)
+    except DecompressionError as exc:
+        return f"DecompressionError: {exc}"
+
+
+class TestDecodeFuzz:
+    """Arbitrary compressed-side text, not only compressor output: the
+    kernel's decode (its C-level fast path and the per-byte loop behind it)
+    must decode exactly what the reference decodes and reject exactly what
+    it rejects, with the same message."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_decodes_or_fails_like_reference(self, plain_codec, data):
+        symbols = sorted(entry.symbol for entry in plain_codec.table)
+        unit = st.one_of(
+            st.sampled_from(symbols),
+            st.just(" "),                          # escape: "  " escapes a space; last, it dangles
+            st.sampled_from("\r\n"),
+            st.characters(max_codepoint=0xFF),     # includes bytes no symbol uses
+            st.characters(min_codepoint=0x100),    # beyond Latin-1
+        )
+        line = st.one_of(st.text(st.sampled_from(symbols), max_size=24), st.text(unit, max_size=24))
+        lines = data.draw(st.lists(line, max_size=6), label="lines")
+        kernel = BlockKernel(plain_codec)
+
+        def reference(batch):
+            return [plain_codec.decompress(item) for item in batch]
+
+        assert _decoded_or_error(kernel.decompress_block, lines) == _decoded_or_error(
+            reference, lines
+        )
+        for item in lines:
+            assert _decoded_or_error(kernel.decompress_block, [item]) == _decoded_or_error(
+                reference, [item]
+            )
+
+
 # --------------------------------------------------------------------------- #
 # Backend-object behaviour
 # --------------------------------------------------------------------------- #

@@ -110,6 +110,25 @@ class TestHttpErrorStatuses:
                 response += data
         assert response.startswith(b"HTTP/1.1 400")
 
+    def test_chunked_request_body_gets_one_400_and_a_close(self, server):
+        """Its chunk bytes must not be read as a second request."""
+        host, _, port = server.url[len("http://"):].partition(":")
+        with socket.create_connection((host, int(port)), timeout=10) as conn:
+            conn.sendall(
+                b"POST /records:batch HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"13\r\n{\"indices\": [0, 1]}\r\n0\r\n\r\n"
+            )
+            response = b""
+            while True:
+                data = conn.recv(65536)
+                if not data:
+                    break
+                response += data
+        assert response.startswith(b"HTTP/1.1 400")
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert b"Transfer-Encoding" in response
+
 
 class TestEnvelopeParity:
     """The client raises exactly what a direct library call raises."""
@@ -256,9 +275,9 @@ class TestRetryPhaseRestriction:
 
         port, count, stop, thread = self._scripted_server(die_mid_status)
         try:
-            client = CorpusClient(f"http://127.0.0.1:{port}", timeout=5.0)
-            with pytest.raises(ServerConnectionError, match="died before answering"):
-                client.get(0)
+            with CorpusClient(f"http://127.0.0.1:{port}", timeout=5.0) as client:
+                with pytest.raises(ServerConnectionError, match="died before answering"):
+                    client.get(0)
             # The stop/join below gives a would-be duplicate a full accept
             # cycle to land before the count is asserted.
             stop.set()
@@ -282,9 +301,9 @@ class TestRetryPhaseRestriction:
 
         port, count, stop, thread = self._scripted_server(die_mid_body)
         try:
-            client = CorpusClient(f"http://127.0.0.1:{port}", timeout=5.0)
-            with pytest.raises(ServerConnectionError, match="mid-response"):
-                client.get(0)
+            with CorpusClient(f"http://127.0.0.1:{port}", timeout=5.0) as client:
+                with pytest.raises(ServerConnectionError, match="mid-response"):
+                    client.get(0)
             stop.set()
             thread.join()
             assert count[0] == 1, "the request was silently resent"
@@ -315,10 +334,10 @@ class TestRetryPhaseRestriction:
         try:
             import time
 
-            client = CorpusClient(f"http://127.0.0.1:{port}", timeout=5.0)
-            assert client.get(0) == "A"
-            time.sleep(0.1)  # let the server-side close's FIN arrive
-            assert client.get(1) == "A"
+            with CorpusClient(f"http://127.0.0.1:{port}", timeout=5.0) as client:
+                assert client.get(0) == "A"
+                time.sleep(0.1)  # let the server-side close's FIN arrive
+                assert client.get(1) == "A"
             stop.set()
             thread.join()
             assert count[0] == 2

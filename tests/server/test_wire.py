@@ -96,6 +96,8 @@ def test_known_framing_errors_are_typed():
         (True, b"POST /a HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc"),
         (True, b"GET /a HTTP/1.1\r\n" + b"X: y\r\n" * 101 + b"\r\n"),
         (True, b"GET /" + b"a" * (wire.MAX_LINE_BYTES + 1)),
+        (True, b"POST /a HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n"),
+        (True, b"POST /a HTTP/1.1\r\nContent-Length: 3\r\nTransfer-Encoding: gzip\r\n\r\nabc"),
         (False, b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x4\r\nabcd\r\n0\r\n\r\n"),
         (False, b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nabcdXY\r\n"),
     ]

@@ -1,4 +1,9 @@
-"""Tests for ``.zss`` reading: block lookup, caching, protocol surface."""
+"""Tests for ``.zss`` reading: block lookup, caching, protocol surface.
+
+A block is loaded (read, checked, split) once per cache miss, but records
+decode one by one, the first time each is read; the kernel's
+``zsmiles_kernel_lines_total{op="decompress"}`` counter counts those decodes.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +13,18 @@ import pytest
 
 from repro.core.random_access import RandomAccessReader
 from repro.engine import ZSmilesEngine
-from repro.errors import RandomAccessError, StoreFormatError
-from repro.store import CorpusStore, RecordReader, ShardReader, open_reader, pack_records
+from repro.errors import DecompressionError, RandomAccessError, StoreFormatError
+from repro.store import (
+    CorpusStore,
+    RecordReader,
+    ShardReader,
+    open_reader,
+    pack_compressed_records,
+    pack_records,
+)
 from repro.store.reader import read_store_records
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.metrics import set_registry
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +36,16 @@ def packed_library(tmp_path_factory, plain_codec, mixed_corpus_small):
     with ZSmilesEngine.from_codec(plain_codec, backend="serial") as engine:
         info = pack_records(path, corpus, engine, records_per_block=10)
     return path, corpus, info
+
+
+@pytest.fixture()
+def decoded_lines():
+    """Lines the kernel has decompressed so far, read from a fresh registry."""
+    registry = MetricsRegistry(enabled=True)
+    set_registry(registry)
+    family = registry.counter("zsmiles_kernel_lines_total", labels=("op",))
+    yield lambda: family.labels("decompress").value
+    set_registry(None)
 
 
 class TestShardReader:
@@ -41,26 +65,38 @@ class TestShardReader:
             with pytest.raises(RandomAccessError):
                 reader.get(-1)
 
-    def test_single_get_touches_single_block(self, packed_library):
-        """The acceptance criterion: get(i) decodes only record i's block."""
+    def test_single_get_touches_single_block(self, packed_library, decoded_lines):
+        """The acceptance criterion: get(i) loads only record i's block and
+        decodes only record i."""
         path, corpus, info = packed_library
         reader = ShardReader(path)
         assert reader.get(55) == corpus[55]
         assert reader.blocks_decoded == 1
+        assert decoded_lines() == 1
         # Only block 5's payload was read — not the whole file.
         block_length = reader.footer.blocks[5].length
         assert reader.bytes_read == block_length
         assert reader.bytes_read < info.payload_bytes
         reader.close()
 
-    def test_block_cache_serves_repeat_lookups(self, packed_library):
+    def test_block_cache_serves_repeat_lookups(self, packed_library, decoded_lines):
         path, corpus, _ = packed_library
         with ShardReader(path, cache_blocks=2) as reader:
             assert reader.get(11) == corpus[11]
             decoded_once = reader.blocks_decoded
+            read_once = reader.bytes_read
+            assert decoded_lines() == 1
             assert reader.get(12) == corpus[12]   # same block: cache hit
             assert reader.blocks_decoded == decoded_once
             assert reader.cache_hits == 1
+            assert decoded_lines() == 2           # ...that decodes record 12 only
+            assert reader.get(11) == corpus[11]   # repeat: decodes nothing
+            assert decoded_lines() == 2
+            assert reader.get_raw(13) is not None  # same entry: loads nothing
+            assert reader.blocks_decoded == decoded_once
+            assert reader.bytes_read == read_once
+            assert decoded_lines() == 2
+            assert reader.cache_hits == 3
 
     def test_cache_evicts_least_recently_used(self, packed_library):
         path, corpus, _ = packed_library
@@ -73,6 +109,53 @@ class TestShardReader:
             assert reader.blocks_decoded == 4
             reader.get(20)   # block 2 still cached
             assert reader.blocks_decoded == 4
+
+    def test_iter_all_decodes_each_line_once(self, packed_library, decoded_lines):
+        path, corpus, _ = packed_library
+        with ShardReader(path) as reader:
+            assert reader.get(3) == corpus[3]
+            assert reader.get(57) == corpus[57]
+            assert list(reader.iter_all()) == corpus
+            assert decoded_lines() == len(corpus)
+            assert reader.blocks_decoded == reader.block_count
+            assert list(reader.iter_all()) == corpus   # every block cached
+            assert decoded_lines() == len(corpus)
+            assert read_store_records(path) == corpus  # a new reader decodes again
+            assert decoded_lines() == 2 * len(corpus)
+
+    def test_record_served_beside_an_undecodable_one(
+        self, packed_library, plain_codec, tmp_path
+    ):
+        """Records decode on their own: a record that cannot be decoded fails
+        alone, with the reference's message, and not its whole block."""
+        _, corpus, _ = packed_library
+        unknown = next(
+            chr(code)
+            for code in range(1, 256)
+            if chr(code) not in (" ", "\n", "\r")
+            and plain_codec.table.pattern_for(chr(code)) is None
+        )
+        bad = {
+            1: plain_codec.compress(corpus[1]) + " ",        # dangling escape
+            3: plain_codec.compress(corpus[3]) + unknown,    # unknown symbol
+        }
+        stored = [bad.get(i, plain_codec.compress(corpus[i])) for i in range(5)]
+        path = tmp_path / "hand_built.zss"
+        pack_compressed_records(path, stored, records_per_block=len(stored))
+        with ShardReader(path, codec=plain_codec) as reader:
+            for index in (0, 2, 4):
+                assert reader.get(index) == corpus[index]
+            for index, record in bad.items():
+                with pytest.raises(DecompressionError) as served:
+                    reader.get(index)
+                with pytest.raises(DecompressionError) as reference:
+                    plain_codec.decompress(record)
+                assert str(served.value) == str(reference.value)
+                assert reader.get_raw(index) == record
+            with pytest.raises(DecompressionError):
+                list(reader.iter_all())
+            assert reader.get(2) == corpus[2]
+            assert reader.blocks_decoded == 1
 
     def test_get_many_and_slice_and_iter(self, packed_library):
         path, corpus, _ = packed_library

@@ -10,6 +10,7 @@ exactly what serial reads serve — the invariant the async layer builds on.
 from __future__ import annotations
 
 import io
+import sys
 import threading
 
 import pytest
@@ -17,6 +18,8 @@ import pytest
 from repro.engine import ZSmilesEngine
 from repro.errors import StoreError
 from repro.store import BlockCache, CorpusStore, ShardReader, pack_records
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.metrics import set_registry
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +147,29 @@ class TestCacheCounters:
             assert reader.cache_hits == 1
             assert reader.cache_stats()["cached_blocks"] == 2
 
+    def test_kill_switch_silences_read_path_counters(self, packed):
+        """Counter children resolved once, at construction, are still no-ops
+        under a disabled registry (the ``ZSMILES_TELEMETRY=off`` switch)."""
+        path, corpus = packed
+        registry = MetricsRegistry(enabled=False)
+        set_registry(registry)
+        try:
+            with ShardReader(path, cache_blocks=4) as reader:
+                assert reader.get(0) == corpus[0]   # miss: load, decode
+                assert reader.get(1) == corpus[1]   # hit: decode
+                assert (reader.cache_hits, reader.cache_misses) == (1, 1)
+        finally:
+            set_registry(None)
+        values = {
+            (item["name"], tuple(series["values"])): series.get("value", series.get("count"))
+            for item in registry.snapshot()["metrics"]
+            for series in item["series"]
+        }
+        assert ("zsmiles_cache_lookups_total", ("hit",)) in values
+        assert ("zsmiles_kernel_lines_total", ("decompress",)) in values
+        assert ("zsmiles_store_reads_total", ("handle",)) in values
+        assert not any(values.values()), values
+
     def test_library_surfaces_shared_cache_counters(self, packed, plain_codec, tmp_path):
         from repro.library import CorpusLibrary, pack_library
 
@@ -204,6 +230,43 @@ class TestConcurrentReads:
             assert mine is not None
             for index, record in mine:
                 assert record == serial[index]
+
+    def test_threads_sharing_decoded_records_see_whole_records(self, packed, plain_codec):
+        """Threads fill the same cached blocks record by record while others
+        walk whole blocks; with a tiny switch interval every interleaving of
+        those fills is tried, and each read must still be the whole record."""
+        path, corpus = packed
+        stored = [plain_codec.compress(record) for record in corpus]
+        reader = ShardReader(path, cache_blocks=3)
+        errors: list = []
+
+        def hammer(worker: int) -> None:
+            try:
+                for step in range(3 * len(corpus)):
+                    index = (step * (2 * worker + 1)) % len(corpus)
+                    if worker % 3 == 0:
+                        assert reader.get(index) == corpus[index]
+                    elif worker % 3 == 1:
+                        assert reader.get_raw(index) == stored[index]
+                        assert reader.get(index) == corpus[index]
+                    elif step % len(corpus) == 0:
+                        assert list(reader.iter_all()) == corpus
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(9)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            reader.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
 
     def test_threads_match_serial_reads_mmap(self, packed):
         path, corpus = packed
