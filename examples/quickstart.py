@@ -202,7 +202,7 @@ def main() -> None:
     # 7. The network tier: the same library as an HTTP service.
     #    `zsmiles serve library.library --port 8765` is the CLI spelling;
     #    here the server runs on a background thread of this process.  The
-    #    bounded reader pool caps concurrent block decodes (backpressure),
+    #    bounded reader pool caps concurrent block loads (backpressure),
     #    and any RecordReader consumer can point at the URL.
     # ------------------------------------------------------------------ #
     with BackgroundServer(library_dir, readers=4) as server:

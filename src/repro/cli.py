@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=SERVER_DEFAULT_PORT,
                        help=f"bind port, 0 = ephemeral (default: {SERVER_DEFAULT_PORT})")
     serve.add_argument("--readers", type=int, default=DEFAULT_POOL_SIZE, metavar="N",
-                       help="async reader-pool size = max concurrent block decodes "
+                       help="async reader-pool size = max concurrent block loads "
                             f"(default: {DEFAULT_POOL_SIZE})")
     serve.add_argument("--cache-blocks", type=int, default=DEFAULT_CACHE_BLOCKS,
                        metavar="N", help="shared LRU budget of cached blocks "

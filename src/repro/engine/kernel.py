@@ -72,6 +72,11 @@ class CodecAutomaton:
     * ``accept_length`` — pattern length terminating at each state (0 = none),
     * ``accept_symbol`` — symbol byte emitted for that pattern (-1 = none).
 
+    Only compression reads those three arrays, and ``transitions`` is the
+    bulk of the automaton (``num_states * 256`` slots), so they are compiled
+    on first use: a decode-only automaton — every ``.zss`` reader's — never
+    builds them.  The Latin-1 check over the whole table stays eager.
+
     Decompression reads one more table, ``_decode_map``: the pattern text of
     every symbol byte, ``None`` for the escape marker, the line terminators
     and bytes that are no symbol.  :func:`codecs.charmap_decode` expands a
@@ -90,11 +95,8 @@ class CodecAutomaton:
 
     __slots__ = (
         "table",
-        "num_states",
         "max_pattern_length",
-        "_transitions",
-        "_accept_length",
-        "_accept_symbol",
+        "_compiled",
         "_patterns_by_byte",
         "_decode_map",
         "_cost",
@@ -105,40 +107,13 @@ class CodecAutomaton:
 
     def __init__(self, table: CodecTable):
         self.table = table
-        transitions: List[int] = [-1] * ALPHABET_SIZE
-        accept_length: List[int] = [0]
-        accept_symbol: List[int] = [-1]
         patterns_by_byte: List[Optional[bytes]] = [None] * ALPHABET_SIZE
-        num_states = 1
-        for entry in table:
-            try:
-                pattern = entry.pattern.encode("latin-1")
-                symbol = entry.symbol.encode("latin-1")
-            except UnicodeEncodeError:
-                raise KernelUnsupportedError(
-                    f"entry {entry.symbol!r} -> {entry.pattern!r} is outside "
-                    "Latin-1; the flat automaton cannot represent it"
-                ) from None
-            state = 0
-            for byte in pattern:
-                slot = (state << 8) | byte
-                nxt = transitions[slot]
-                if nxt < 0:
-                    nxt = num_states
-                    num_states += 1
-                    transitions[slot] = nxt
-                    transitions.extend([-1] * ALPHABET_SIZE)
-                    accept_length.append(0)
-                    accept_symbol.append(-1)
-                state = nxt
-            accept_length[state] = len(pattern)
-            accept_symbol[state] = symbol[0]
-            patterns_by_byte[symbol[0]] = pattern
-        self.num_states = num_states
+        for pattern, symbol in self._encoded_entries():
+            patterns_by_byte[symbol] = pattern
         self.max_pattern_length = table.max_pattern_length
-        self._transitions = transitions
-        self._accept_length = accept_length
-        self._accept_symbol = accept_symbol
+        #: ``(num_states, transitions, accept_length, accept_symbol)`` once
+        #: compiled; assigned as one tuple so a reader never sees half of it.
+        self._compiled: Optional[Tuple[int, List[int], List[int], List[int]]] = None
         self._patterns_by_byte = patterns_by_byte
         decode_map = [None if p is None else p.decode("latin-1") for p in patterns_by_byte]
         for byte in (ESCAPE_BYTE, ord("\n"), ord("\r")):
@@ -157,6 +132,50 @@ class CodecAutomaton:
             return cls(table)
         except KernelUnsupportedError:
             return None
+
+    def _encoded_entries(self) -> List[Tuple[bytes, int]]:
+        """``(pattern bytes, symbol byte)`` per table entry, in table order."""
+        encoded = []
+        for entry in self.table:
+            try:
+                pattern = entry.pattern.encode("latin-1")
+                symbol = entry.symbol.encode("latin-1")
+            except UnicodeEncodeError:
+                raise KernelUnsupportedError(
+                    f"entry {entry.symbol!r} -> {entry.pattern!r} is outside "
+                    "Latin-1; the flat automaton cannot represent it"
+                ) from None
+            encoded.append((pattern, symbol[0]))
+        return encoded
+
+    def _compile(self) -> Tuple[int, List[int], List[int], List[int]]:
+        """Build the compression tables: the trie as flat integer arrays."""
+        transitions: List[int] = [-1] * ALPHABET_SIZE
+        accept_length: List[int] = [0]
+        accept_symbol: List[int] = [-1]
+        num_states = 1
+        for pattern, symbol in self._encoded_entries():
+            state = 0
+            for byte in pattern:
+                slot = (state << 8) | byte
+                nxt = transitions[slot]
+                if nxt < 0:
+                    nxt = num_states
+                    num_states += 1
+                    transitions[slot] = nxt
+                    transitions.extend([-1] * ALPHABET_SIZE)
+                    accept_length.append(0)
+                    accept_symbol.append(-1)
+                state = nxt
+            accept_length[state] = len(pattern)
+            accept_symbol[state] = symbol
+        compiled = self._compiled = (num_states, transitions, accept_length, accept_symbol)
+        return compiled
+
+    @property
+    def num_states(self) -> int:
+        """States of the compiled trie, one per pattern prefix plus the root."""
+        return (self._compiled or self._compile())[0]
 
     # ------------------------------------------------------------------ #
     # Compression
@@ -181,9 +200,7 @@ class CodecAutomaton:
         if n == 0:
             return "", 0, 0
         self._reserve(n)
-        transitions = self._transitions
-        accept_length = self._accept_length
-        accept_symbol = self._accept_symbol
+        _, transitions, accept_length, accept_symbol = self._compiled or self._compile()
         cost = self._cost
         best_length = self._best_length
         best_symbol = self._best_symbol
@@ -217,9 +234,7 @@ class CodecAutomaton:
         n = len(data)
         if n == 0:
             return "", 0, 0
-        transitions = self._transitions
-        accept_length = self._accept_length
-        accept_symbol = self._accept_symbol
+        _, transitions, accept_length, accept_symbol = self._compiled or self._compile()
         buffer = self._buffer
         del buffer[:]
         matches = 0

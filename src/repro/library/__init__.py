@@ -40,7 +40,7 @@ Right when consumers are *other processes or machines*: the corpus is
 packed once, served by one process, and every consumer reads it through
 :class:`~repro.server.CorpusClient` — or just ``open_reader("http://…")``,
 which satisfies this same protocol.  The bounded reader pool caps
-concurrent block decodes, so a burst of clients queues instead of
+concurrent block loads, so a burst of clients queues instead of
 thundering the disk.
 
 Packing::
@@ -81,6 +81,24 @@ shared by every shard of a library and every reader of an
 :class:`AsyncCorpusLibrary` pool.  Because records decode on their own, a
 record is served even when another record of its block cannot be decoded
 (a wrong codec override, or a hand-built shard).
+
+Ranges are read block by block: ``slice`` looks each block up once and
+decodes its missing records in one kernel call, so a warm range takes one
+cache lookup per block, not one per record.  The cache still counts one
+lookup per record served: a miss for each block a read loads, a hit for
+every other record.
+
+:class:`AsyncCorpusLibrary` serves a cached record on the event loop and
+sends only block loads to its reader pool.  Each read first probes the
+cache through ``CorpusLibrary.probe`` / ``probe_slice``, which do no I/O:
+no shard is opened, no block read and no quarantine checked (a quarantined
+block is never cached), and a shard no pooled reader has opened counts as
+not cached.  A hit is served, and decoded if it is read for the first time,
+on the loop; a miss counts nothing there, and the pooled read that loads
+the block counts it.  ``get_many`` yields the loop between chunks of
+``DEFAULT_STREAM_BATCH`` cached records, and fans only its misses out over
+the pool; a range goes to the pool, in one hop, only for the shards whose
+part of it is not wholly cached.
 
 Migrating from ``open_reader``
 ==============================

@@ -1,19 +1,30 @@
 """Async serving surface: :class:`AsyncCorpusLibrary`.
 
-Block decode and file I/O are blocking, so the async surface runs them on
-worker threads (``asyncio.to_thread``) over a *bounded pool* of independent
+A record whose block is already in the shared block cache is served on the
+event loop: the lookup takes microseconds, where handing it to a thread
+costs far more.  Only block loads, which do file I/O, run on worker threads
+(``asyncio.to_thread``) over a *bounded pool* of independent
 :class:`~repro.library.facade.CorpusLibrary` readers.  Each pooled reader
-owns its file handles, so concurrent requests never contend on a shared
-seek position; the pool size bounds both thread fan-out and open file
-handles.  Results are byte-identical to the sync path — the parity tests
-pin ``await lib.get(i) == store.get(i)`` for every record.
+owns its file handles, so concurrent loads never contend on a shared seek
+position; the pool size bounds both thread fan-out and open file handles.
+Results are byte-identical to the sync path — the parity tests pin
+``await lib.get(i) == store.get(i)`` for every record.
+
+Every read probes the cache first.  ``get`` serves a cached record on the
+loop (decoding it there on its first read); ``get_many`` serves its cached
+records on the loop, yielding to other tasks between chunks of
+:data:`DEFAULT_STREAM_BATCH` records, and fans only the rest out over the
+pool; ``slice`` serves each shard's part of a range on the loop when all
+its blocks are cached, and sends the other parts to the pool in one hop;
+``stream`` is a loop over ``slice``.  The probe does no I/O: a shard no
+pooled reader has opened counts as not cached.
 
 Typical use inside a request-serving loop::
 
     async with AsyncCorpusLibrary.open("corpus.library", pool_size=8) as lib:
         smiles = await lib.get(123_456)
-        batch = await lib.get_many(candidate_indices)   # fans out over the pool
-        async for record in lib.stream(0, 10_000):       # paced block reads
+        batch = await lib.get_many(candidate_indices)   # misses fan out over the pool
+        async for record in lib.stream(0, 10_000):       # paced range reads
             ...
 
 An instance binds to the running event loop on first use (its internal
@@ -28,8 +39,8 @@ from pathlib import Path
 from typing import AsyncIterator, Callable, List, Optional, Sequence, TypeVar, Union
 
 from ..core.codec import ZSmilesCodec
-from ..errors import LibraryError, RandomAccessError
-from ..store.reader import DEFAULT_CACHE_BLOCKS, BlockCache
+from ..errors import LibraryError
+from ..store.reader import DEFAULT_CACHE_BLOCKS, BlockCache, checked_range, split_range
 from .facade import CorpusLibrary
 
 PathLike = Union[str, Path]
@@ -37,7 +48,8 @@ T = TypeVar("T")
 
 #: Default number of pooled readers (and therefore concurrent blocking reads).
 DEFAULT_POOL_SIZE = 4
-#: Default records fetched per :meth:`AsyncCorpusLibrary.stream` batch.
+#: Default records fetched per :meth:`AsyncCorpusLibrary.stream` batch, and
+#: the records ``get_many`` serves on the loop before it yields.
 DEFAULT_STREAM_BATCH = 1024
 
 
@@ -52,6 +64,7 @@ class AsyncCorpusLibrary:
         self._idle_lock = threading.Lock()
         self._semaphore = asyncio.Semaphore(len(self._readers))
         self._closed = False
+        self._starts = [shard.start for shard in self._readers[0].manifest.shards]
 
     @classmethod
     def open(
@@ -143,16 +156,33 @@ class AsyncCorpusLibrary:
             "shards": shards,
         }
 
-    async def _call(self, fn: Callable[[CorpusLibrary], T]) -> T:
-        """Run a blocking reader operation on a pooled reader in a thread."""
+    def _check_open(self) -> None:
         if self._closed:
             raise LibraryError("AsyncCorpusLibrary is closed")
+
+    def _cached(self, probe: Callable[..., Optional[T]], *args: int) -> Optional[T]:
+        """``probe(reader, *args)`` through each pooled reader until one serves it.
+
+        Runs on the loop, on busy and idle readers alike: a probe touches only
+        the shared cache and the re-entrant decode path.  The readers open
+        shards lazily, each on its own, so a block cached by one may belong
+        to a shard another has never opened; trying every reader serves it
+        whichever one loaded it.
+        """
+        for reader in self._readers:
+            result = probe(reader, *args)
+            if result is not None:
+                return result
+        return None
+
+    async def _call(self, fn: Callable[[CorpusLibrary], T]) -> T:
+        """Run a blocking reader operation on a pooled reader in a thread."""
+        self._check_open()
         async with self._semaphore:
             # Re-checked after the (possibly long) semaphore wait: a call
             # queued behind a full pool must not reopen handles that close()
             # released in the meantime.
-            if self._closed:
-                raise LibraryError("AsyncCorpusLibrary is closed")
+            self._check_open()
             with self._idle_lock:
                 reader = self._idle.pop()
             try:
@@ -171,23 +201,70 @@ class AsyncCorpusLibrary:
     # ------------------------------------------------------------------ #
     async def get(self, index: int) -> str:
         """The record at global *index*."""
-        return await self._call(lambda reader: reader.get(index))
+        self._check_open()
+        record = self._cached(CorpusLibrary.probe, index)
+        if record is None:
+            record = await self._call(lambda reader: reader.get(index))
+        return record
 
     async def get_many(self, indices: Sequence[int]) -> List[str]:
-        """Fetch several records concurrently, preserving request order.
+        """Fetch several records, preserving request order.
 
-        The request is split into contiguous chunks fanned out over the
-        reader pool, so one large batch saturates every pooled reader.
+        Cached records are served on the loop, which is yielded between
+        chunks of :data:`DEFAULT_STREAM_BATCH` records.  The rest are split
+        into contiguous chunks fanned out over the reader pool, so a batch
+        of misses keeps every pooled reader busy.
         """
         indices = list(indices)
-        if not indices:
-            return []
-        chunk_size = -(-len(indices) // self.pool_size)  # ceil division
-        chunks = [indices[i : i + chunk_size] for i in range(0, len(indices), chunk_size)]
-        parts = await asyncio.gather(
-            *(self._call(lambda reader, c=chunk: reader.get_many(c)) for chunk in chunks)
-        )
-        return [record for part in parts for record in part]
+        self._check_open()
+        records: List[Optional[str]] = []
+        for chunk in range(0, len(indices), DEFAULT_STREAM_BATCH):
+            if chunk:
+                await asyncio.sleep(0)
+                self._check_open()
+            for index in indices[chunk : chunk + DEFAULT_STREAM_BATCH]:
+                records.append(self._cached(CorpusLibrary.probe, index))
+        missing = [position for position, record in enumerate(records) if record is None]
+        if missing:
+            wanted = [indices[position] for position in missing]
+            size = -(-len(wanted) // self.pool_size)  # ceil division
+            parts = await asyncio.gather(
+                *(
+                    self._call(lambda reader, c=wanted[i : i + size]: reader.get_many(c))
+                    for i in range(0, len(wanted), size)
+                )
+            )
+            loaded = (record for part in parts for record in part)
+            for position, record in zip(missing, loaded):
+                records[position] = record
+        return records  # type: ignore[return-value]
+
+    async def slice(self, start: int, stop: int) -> List[str]:
+        """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped).
+
+        The range is probed shard by shard, since each shard may have been
+        opened by a different pooled reader.  A shard's part whose blocks
+        are all cached is served on the loop (it is bounded by what the
+        cache holds); the other parts go to the pool in one hop and are
+        read block by block there.
+        """
+        self._check_open()
+        start, stop = checked_range(start, stop, len(self))
+        bounds = [
+            (self._starts[shard_no] + lo, self._starts[shard_no] + hi)
+            for shard_no, lo, hi in split_range(self._starts, start, stop)
+        ]
+        parts = [self._cached(CorpusLibrary.probe_slice, lo, hi) for lo, hi in bounds]
+        missing = [bound for bound, part in zip(bounds, parts) if part is None]
+        if missing:
+            loaded = iter(
+                await self._call(lambda reader: [reader.slice(lo, hi) for lo, hi in missing])
+            )
+            parts = [next(loaded) if part is None else part for part in parts]
+        records: List[str] = []
+        for part in parts:
+            records += part  # type: ignore[operator]
+        return records
 
     async def stream(
         self,
@@ -195,24 +272,20 @@ class AsyncCorpusLibrary:
         stop: Optional[int] = None,
         batch_size: int = DEFAULT_STREAM_BATCH,
     ) -> AsyncIterator[str]:
-        """Yield records ``start`` … ``stop`` (exclusive), batch by batch.
+        """Yield records ``start`` … ``stop`` (exclusive, clamped), batch by batch.
 
-        Each batch is one blocking ``slice`` on a pooled reader; between
-        batches the event loop is free to interleave other requests.
+        Each batch is one :meth:`slice`; between batches the event loop is
+        free to interleave other requests.  The range is judged and clamped
+        as :meth:`slice` judges it.
         """
         if batch_size < 1:
             raise LibraryError("batch_size must be >= 1")
+        self._check_open()
         total = len(self)
-        stop = total if stop is None else min(stop, total)
-        if start < 0 or stop < start:
-            raise RandomAccessError(f"invalid stream range [{start}, {stop})")
-        cursor = start
-        while cursor < stop:
-            upper = min(cursor + batch_size, stop)
-            batch = await self._call(lambda reader, a=cursor, b=upper: reader.slice(a, b))
-            for record in batch:
+        start, stop = checked_range(start, total if stop is None else stop, total)
+        for cursor in range(start, stop, batch_size):
+            for record in await self.slice(cursor, min(cursor + batch_size, stop)):
                 yield record
-            cursor = upper
 
     # ------------------------------------------------------------------ #
     # Lifecycle

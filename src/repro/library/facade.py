@@ -153,6 +153,14 @@ class CorpusLibrary:
         """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped)."""
         return self.store.slice(start, stop)
 
+    def probe(self, index: int) -> Optional[str]:
+        """The record at *index* if its block is cached, else ``None`` (no I/O)."""
+        return self.store.probe(index)
+
+    def probe_slice(self, start: int, stop: int) -> Optional[List[str]]:
+        """:meth:`slice` if every record is cached, else ``None`` (no I/O)."""
+        return self.store.probe_slice(start, stop)
+
     def iter_all(self) -> Iterator[str]:
         """Iterate over every record, in global order."""
         return self.store.iter_all()

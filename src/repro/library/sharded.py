@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from ..core.codec import ZSmilesCodec
 from ..errors import DictionaryMismatchError, ManifestError
@@ -26,8 +26,11 @@ from ..store.reader import (
     DEFAULT_CACHE_BLOCKS,
     BlockCache,
     BlockCacheView,
+    CachedSpan,
     RecordAccessMixin,
     ShardReader,
+    checked_range,
+    split_range,
 )
 from .manifest import LibraryManifest, resolve_manifest_path
 
@@ -77,6 +80,7 @@ class ShardedCorpusStore(RecordAccessMixin):
         self.use_mmap = use_mmap
         self._cache = cache if cache is not None else BlockCache(cache_blocks)
         self._readers: List[Optional[ShardReader]] = [None] * manifest.shard_count
+        self._starts = [shard.start for shard in manifest.shards]
         self._open_lock = threading.Lock()
 
     @classmethod
@@ -237,6 +241,50 @@ class ShardedCorpusStore(RecordAccessMixin):
         """The stored (compressed) record at global *index*."""
         shard_no, local = self.manifest.locate(index)
         return self.shard(shard_no).get_raw(local)
+
+    def slice(self, start: int, stop: int) -> List[str]:
+        """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped).
+
+        Each shard's part is read block by block (:meth:`ShardReader.slice`).
+        """
+        start, stop = checked_range(start, stop, len(self))
+        records: List[str] = []
+        for shard_no, lo, hi in split_range(self._starts, start, stop):
+            records += self.shard(shard_no).slice(lo, hi)
+        return records
+
+    # ------------------------------------------------------------------ #
+    # Cache probes: no I/O, so an event loop may call them
+    # ------------------------------------------------------------------ #
+    def probe(self, index: int) -> Optional[str]:
+        """The record at global *index* if its block is cached, else ``None``.
+
+        A shard this store has not opened counts as not cached: opening one
+        reads its footer and parses its dictionary, and a probe does no I/O
+        (see :meth:`ShardReader.probe`).
+        """
+        shard_no, local = self.manifest.locate(index)
+        reader = self._readers[shard_no]
+        return None if reader is None else reader.probe(local)
+
+    def probe_slice(self, start: int, stop: int) -> Optional[List[str]]:
+        """:meth:`slice` if every block of the range is cached, else ``None``.
+
+        All or nothing: every block is found before any record is served,
+        so a range that is not wholly cached counts nothing.
+        """
+        start, stop = checked_range(start, stop, len(self))
+        found: List[Tuple[ShardReader, List[CachedSpan]]] = []
+        for shard_no, lo, hi in split_range(self._starts, start, stop):
+            reader = self._readers[shard_no]
+            spans = None if reader is None else reader.cached_spans(lo, hi)
+            if spans is None:
+                return None
+            found.append((reader, spans))  # type: ignore[arg-type]
+        records: List[str] = []
+        for reader, spans in found:
+            records += reader.decode_spans(spans)
+        return records
 
     def iter_all(self) -> Iterator[str]:
         """Iterate over every record of every shard, in global order."""

@@ -1,10 +1,11 @@
 """The asyncio HTTP serving front: :class:`CorpusServer`.
 
-The server mounts an :class:`~repro.library.AsyncCorpusLibrary` — the
-bounded reader pool *is* the backpressure: at most ``readers`` blocking
-block-decodes run at once, no matter how many sockets are open — and speaks
-a deliberately small slice of HTTP/1.1 over plain ``asyncio`` streams
-(stdlib only, no frameworks):
+The server mounts an :class:`~repro.library.AsyncCorpusLibrary` — records
+already in its block cache are served on the loop, and the bounded reader
+pool *is* the backpressure: at most ``readers`` blocking block loads run at
+once, no matter how many sockets are open — and speaks a deliberately small
+slice of HTTP/1.1 over plain ``asyncio`` streams (stdlib only, no
+frameworks):
 
 ==========================  ================================================
 ``GET /healthz``            liveness + record count
@@ -12,12 +13,12 @@ a deliberately small slice of HTTP/1.1 over plain ``asyncio`` streams
                             tallies (the observable the load harness reads)
 ``GET /records/{i}``        one record, ``text/plain``
 ``POST /records:batch``     ``{"indices": [...]}`` → one record per line,
-                            served through ``get_many``'s pool fan-out
+                            served through ``get_many``
 ``GET /records:sample``     ``?n=&seed=`` → JSON of uniform random records
                             (without replacement, seed-deterministic)
 ``GET /records?start=&stop=``  range stream over chunked transfer encoding,
-                            one :meth:`AsyncCorpusLibrary.stream` batch per
-                            chunk so the event loop interleaves requests
+                            one :meth:`AsyncCorpusLibrary.slice` per chunk
+                            so the event loop interleaves requests
 ==========================  ================================================
 
 Connections are keep-alive by default; every error is the JSON envelope of
@@ -413,7 +414,7 @@ class CorpusServer:
         """Uniform random records without replacement, seedable.
 
         The draw is over *indices* (cheap even for huge corpora); records
-        come back through the pooled ``get_many``.  A fixed ``seed`` fully
+        come back through ``get_many``.  A fixed ``seed`` fully
         determines the sample, which is what lets remote curation runs be
         reproduced.
         """
@@ -430,9 +431,9 @@ class CorpusServer:
     async def _handle_stream(self, request: _Request, writer: asyncio.StreamWriter) -> None:
         """Range streaming over chunked transfer encoding.
 
-        Each chunk is one reader-pool batch, so a slow consumer only ever
-        holds ``stream_batch`` decoded records in the send path and the
-        event loop is free between chunks.
+        Each chunk is one range read, so a slow consumer only ever holds
+        ``stream_batch`` decoded records in the send path and the event loop
+        is free between chunks.
         """
         start, stop = protocol.parse_range_query(request.query, len(self.library))
         self.counters["stream"] += 1
@@ -464,7 +465,7 @@ class CorpusServer:
             cursor = start
             while cursor < stop:
                 upper = min(cursor + self.stream_batch, stop)
-                batch = await self.library.get_many(list(range(cursor, upper)))
+                batch = await self.library.slice(cursor, upper)
                 payload = protocol.encode_records_body(batch)
                 if compressor is not None:
                     payload = compressor.compress(payload) + compressor.flush(

@@ -56,6 +56,7 @@ from ..errors import (
     StoreError,
     StoreFormatError,
 )
+from ..store.reader import checked_range
 
 #: Wire-protocol version reported by ``/healthz`` and ``/stats``.
 PROTOCOL_VERSION = 1
@@ -314,9 +315,7 @@ def parse_range_query(query: Dict[str, str], total: int) -> Tuple[int, int]:
     """
     start = parse_query_int("start", query.get("start", "0"))
     stop = parse_query_int("stop", query["stop"]) if "stop" in query else total
-    if start < 0 or stop < start:
-        raise RandomAccessError(f"invalid slice [{start}, {stop})")
-    return start, min(stop, total)
+    return checked_range(start, stop, total)
 
 
 def parse_sample_query(query: Dict[str, str], total: int) -> Tuple[int, "int | None"]:

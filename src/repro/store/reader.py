@@ -11,10 +11,13 @@ of decoding.  A cache miss seeks to the block's footer-recorded offset, reads
 payload into its stored records — once per block load.  The cached entry
 holds those verified stored records plus the records decoded so far: a
 record decodes the first time it is read and is kept, so ``get(i)`` decodes
-one line, a warm hot set decodes nothing, and whole-block readers
-(``iter_all`` and everything built on it) decode a block's missing records
-in one kernel call.  ``get_raw`` serves the stored records of the same
-entry, so a reader has one cache and one budget.
+one line, a warm hot set decodes nothing, and block-wise readers (``slice``,
+``iter_all`` and everything built on them) look each block up once and
+decode its missing records in one kernel call.  ``get_raw`` serves the
+stored records of the same entry, so a reader has one cache and one budget.
+``probe`` and ``cached_spans`` read the cache without any I/O, so an event
+loop can serve cached records itself (see
+:class:`~repro.library.AsyncCorpusLibrary`).
 
 Records are independent (the paper's separable SMILES), so a record that
 decodes is served even when another record of its block would raise
@@ -58,6 +61,38 @@ DEFAULT_CACHE_BLOCKS = 16
 #: far (``None`` where not yet decoded; the stored list itself when the
 #: reader has no codec).
 CachedBlock = Tuple[List[str], List[Optional[str]]]
+
+#: Records ``lo`` … ``hi`` (exclusive, block-relative) of one cached block.
+CachedSpan = Tuple[CachedBlock, int, int]
+
+
+def checked_range(start: int, stop: int, total: int) -> Tuple[int, int]:
+    """Validate the record range ``[start, stop)`` and clamp *stop* to *total*.
+
+    The range contract of every reader tier, local and remote: a negative
+    *start* or an inverted range, judged on the raw values, raises
+    :class:`~repro.errors.RandomAccessError`; *stop* is clamped afterwards,
+    so a range past the end is empty, not an error.
+    """
+    if start < 0 or stop < start:
+        raise RandomAccessError(f"invalid slice [{start}, {stop})")
+    return start, min(stop, total)
+
+
+def split_range(starts: Sequence[int], start: int, stop: int) -> Iterator[Tuple[int, int, int]]:
+    """``(shard, local start, local stop)`` for every shard ``[start, stop)`` covers.
+
+    *starts* holds each shard's first global index, ascending; the range
+    must already be checked and clamped.  Empty shards are skipped.
+    """
+    shard_no = bisect_right(starts, start) - 1
+    while start < stop:
+        base = starts[shard_no]
+        upper = min(stop, starts[shard_no + 1]) if shard_no + 1 < len(starts) else stop
+        if upper > start:
+            yield shard_no, start - base, upper - base
+            start = upper
+        shard_no += 1
 
 
 class BlockCache:
@@ -104,6 +139,26 @@ class BlockCache:
             self.hits += 1
             self._metric_hit.inc()
             return entry
+
+    def find(self, key: Hashable) -> Optional[object]:
+        """The entry for *key* (now the most recently used), or ``None``.
+
+        Counts nothing: a caller that serves records from the entry counts
+        them with :meth:`count_hits`, and one that finds nothing leaves the
+        miss to the :meth:`get` that loads the block.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def count_hits(self, n: int) -> None:
+        """Count *n* hits: records served from entries already looked up."""
+        if n > 0:
+            with self._lock:
+                self.hits += n
+            self._metric_hit.inc(n)
 
     def put(self, key: Hashable, value: object) -> None:
         with self._lock:
@@ -168,6 +223,12 @@ class BlockCacheView:
     def get(self, key: Hashable) -> Optional[object]:
         return self.shared.get((self.namespace, key))
 
+    def find(self, key: Hashable) -> Optional[object]:
+        return self.shared.find((self.namespace, key))
+
+    def count_hits(self, n: int) -> None:
+        self.shared.count_hits(n)
+
     def put(self, key: Hashable, value: object) -> None:
         self.shared.put((self.namespace, key), value)
 
@@ -182,8 +243,9 @@ class BlockCacheView:
 class RecordAccessMixin:
     """The bulk :class:`RecordReader` surface, derived from ``get``/``len``.
 
-    Concrete readers implement ``get(index)`` and ``__len__`` (and usually a
-    smarter ``iter_all``); this mixin supplies the derived methods and the
+    Concrete readers implement ``get(index)``, ``__len__`` and ``slice`` (a
+    block-wise range read, over :func:`checked_range`) and usually a
+    smarter ``iter_all``; this mixin supplies the derived methods and the
     ``line``/``lines`` aliases shared with
     :class:`~repro.core.random_access.RandomAccessReader`, so the protocol
     surface lives in one place.
@@ -195,13 +257,6 @@ class RecordAccessMixin:
     def get_many(self, indices: Sequence[int]) -> List[str]:
         """Fetch several records, preserving request order."""
         return [self.get(i) for i in indices]  # type: ignore[attr-defined]
-
-    def slice(self, start: int, stop: int) -> List[str]:
-        """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped)."""
-        if start < 0 or stop < start:
-            raise RandomAccessError(f"invalid slice [{start}, {stop})")
-        stop = min(stop, len(self))  # type: ignore[arg-type]
-        return [self.get(i) for i in range(start, stop)]  # type: ignore[attr-defined]
 
     def iter_all(self) -> Iterator[str]:
         """Iterate over every record in order."""
@@ -430,17 +485,66 @@ class ShardReader(RecordAccessMixin):
         loaded only on a cache miss.
         """
         block = self.block_of(index)
-        offset = index - block * self.records_per_block
-        stored, decoded = self._cached_block(block)
-        record = decoded[offset]
-        if record is None:
-            record = decoded[offset] = self._decompress([stored[offset]])[0]
-        return record
+        return self._record(self._cached_block(block), index - block * self.records_per_block)
+
+    def probe(self, index: int) -> Optional[str]:
+        """The record at *index* if its block is cached, else ``None``.
+
+        Touches only the cache and the re-entrant decode path: it does no
+        I/O and no quarantine check (a quarantined block is never cached),
+        so an event loop may call it.  A hit counts one cache hit; a miss
+        counts nothing, leaving it to the :meth:`get` that loads the block.
+        """
+        block = self.block_of(index)
+        entry = self._cache.find(block)
+        if entry is None:
+            return None
+        self._cache.count_hits(1)
+        return self._record(entry, index - block * self.records_per_block)  # type: ignore[arg-type]
 
     def get_raw(self, index: int) -> str:
         """The stored (compressed) record at *index* (LRU-cached per block)."""
         block = self.block_of(index)
         return self._cached_block(block)[0][index - block * self.records_per_block]
+
+    def slice(self, start: int, stop: int) -> List[str]:
+        """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped).
+
+        Read block by block: each block is looked up once and its missing
+        records decode in one kernel call.  The cache counts what the single
+        gets would: a miss for a block this loads, a hit for every other
+        record.
+        """
+        start, stop = checked_range(start, stop, len(self))
+        records: List[str] = []
+        for block, lo, hi in self._block_spans(start, stop):
+            entry = self._cached_block(block)
+            self._cache.count_hits(hi - lo - 1)
+            records += self._decode_span(entry, lo, hi)
+        return records
+
+    def cached_spans(self, start: int, stop: int) -> Optional[List[CachedSpan]]:
+        """The cached blocks holding records ``start`` … ``stop``, or ``None``.
+
+        ``None`` as soon as one block is not cached.  Like :meth:`probe` it
+        does no I/O, and it counts nothing: :meth:`decode_spans` counts the
+        records it serves from the spans as hits.
+        """
+        spans: List[CachedSpan] = []
+        for block, lo, hi in self._block_spans(start, stop):
+            entry = self._cache.find(block)
+            if entry is None:
+                return None
+            spans.append((entry, lo, hi))  # type: ignore[arg-type]
+        return spans
+
+    def decode_spans(self, spans: Sequence[CachedSpan]) -> List[str]:
+        """The records of *spans* (see :meth:`cached_spans`), one hit each."""
+        records: List[str] = []
+        for entry, lo, hi in spans:
+            records += self._decode_span(entry, lo, hi)
+        self._cache.count_hits(len(records))
+        return records
 
     def iter_all(self) -> Iterator[str]:
         """Iterate over every record in order, one block at a time.
@@ -448,13 +552,8 @@ class ShardReader(RecordAccessMixin):
         A block's not-yet-decoded records decode in one kernel call.
         """
         for block in range(self.block_count):
-            stored, decoded = self._cached_block(block)
-            missing = [k for k, record in enumerate(decoded) if record is None]
-            if missing:
-                records = self._decompress([stored[k] for k in missing])
-                for k, record in zip(missing, records):
-                    decoded[k] = record
-            yield from decoded
+            entry = self._cached_block(block)
+            yield from self._decode_span(entry, 0, len(entry[0]))
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -536,6 +635,33 @@ class ShardReader(RecordAccessMixin):
         self._metric_decode_seconds.observe(time.perf_counter() - started)
         self._cache.put(block, entry)
         return entry
+
+    def _block_spans(self, start: int, stop: int) -> Iterator[Tuple[int, int, int]]:
+        """``(block, lo, hi)``: the block-relative records ``[start, stop)`` covers."""
+        if start >= stop:
+            return
+        per = self.records_per_block
+        for block in range(start // per, -(-stop // per)):
+            base = block * per
+            yield block, max(start, base) - base, min(stop, base + per) - base
+
+    def _record(self, entry: CachedBlock, offset: int) -> str:
+        """Record *offset* of a cached block, decoded on its first read."""
+        stored, decoded = entry
+        record = decoded[offset]
+        if record is None:
+            record = decoded[offset] = self._decompress([stored[offset]])[0]
+        return record
+
+    def _decode_span(self, entry: CachedBlock, lo: int, hi: int) -> List[str]:
+        """Records ``lo`` … ``hi`` of a cached block; the missing ones decode
+        in one kernel call."""
+        stored, decoded = entry
+        missing = [k for k in range(lo, hi) if decoded[k] is None]
+        if missing:
+            for k, record in zip(missing, self._decompress([stored[k] for k in missing])):
+                decoded[k] = record
+        return decoded[lo:hi]  # type: ignore[return-value]
 
     def _decompress(self, stored: List[str]) -> List[str]:
         """Decode stored records through the flat-array kernel (reference parity).
@@ -632,6 +758,14 @@ class CorpusStore(RecordAccessMixin):
         """The stored (compressed) record at global *index*."""
         shard, local = self._locate(index)
         return shard.get_raw(local)
+
+    def slice(self, start: int, stop: int) -> List[str]:
+        """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped), block by block."""
+        start, stop = checked_range(start, stop, self._total)
+        records: List[str] = []
+        for shard_no, lo, hi in split_range(self._starts, start, stop):
+            records += self.shards[shard_no].slice(lo, hi)
+        return records
 
     def quarantine_stats(self) -> Dict[str, object]:
         """Aggregate quarantined-block counters across every shard."""

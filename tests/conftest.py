@@ -10,6 +10,8 @@ import pytest
 
 from repro.core.codec import ZSmilesCodec
 from repro.datasets import exscalate, gdb17, mediate, mixed
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.metrics import set_registry
 
 #: Hand-picked SMILES used across tests: all valid, covering rings, branches,
 #: aromatics, bracket atoms, charges, stereo markers and multi-ring numbering.
@@ -76,3 +78,13 @@ def trained_codec(mixed_corpus_small: list[str]) -> ZSmilesCodec:
 def plain_codec(mixed_corpus_small: list[str]) -> ZSmilesCodec:
     """A codec trained without preprocessing (byte-exact round trips)."""
     return ZSmilesCodec.train(mixed_corpus_small, preprocessing=False, lmax=8)
+
+
+@pytest.fixture()
+def decoded_lines():
+    """Lines the kernel has decompressed so far, read from a fresh registry."""
+    registry = MetricsRegistry(enabled=True)
+    set_registry(registry)
+    family = registry.counter("zsmiles_kernel_lines_total", labels=("op",))
+    yield lambda: family.labels("decompress").value
+    set_registry(None)

@@ -102,6 +102,68 @@ class TestServingBehavior:
             assert store.get(1) == reference[1]  # same block -> shared-cache hit
             assert store.cache_hits >= 1
 
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(30, 50), (39, 41), (0, 120), (7, 9), (79, 80), (115, 200), (120, 125), (130, 140), (8, 8)],
+    )
+    def test_blockwise_slice_equals_per_record_gets(self, library_dir, reference, start, stop):
+        """Ranges across block (8) and shard (40) boundaries, clamped past the end."""
+        with ShardedCorpusStore.open(library_dir, cache_blocks=2) as store:
+            expected = [store.get(i) for i in range(start, min(stop, len(store)))]
+            assert expected == reference[start:stop]
+            assert store.slice(start, stop) == expected
+            assert store.probe_slice(start, stop) in (None, expected)
+        with CorpusLibrary.open(library_dir) as lib:
+            assert lib.slice(start, stop) == expected
+            assert lib.probe_slice(start, stop) == expected   # all cached by now
+
+    @pytest.mark.parametrize("start, stop", [(-1, 4), (10, 5), (200, 150)])
+    def test_slice_rejects_bad_ranges_on_raw_values(self, library_dir, start, stop):
+        with ShardedCorpusStore.open(library_dir) as store:
+            for read in (store.slice, store.probe_slice):
+                with pytest.raises(RandomAccessError) as raised:
+                    read(start, stop)
+                assert str(raised.value) == f"invalid slice [{start}, {stop})"
+            assert store.open_shard_count == 0
+
+    @pytest.mark.parametrize("start, stop", [(30, 50), (0, 120), (39, 41), (16, 24)])
+    def test_slice_counts_what_single_gets_count(
+        self, library_dir, decoded_lines, start, stop
+    ):
+        def counts(read) -> tuple:
+            before = decoded_lines()
+            with ShardedCorpusStore.open(library_dir, cache_blocks=4) as store:
+                read(store)
+                read(store)
+                opened = store.open_shard_count
+                return (
+                    store.cache_stats(),
+                    opened,
+                    sum(store.shard(k).blocks_decoded for k in range(store.shard_count)),
+                    decoded_lines() - before,
+                )
+
+        blockwise = counts(lambda store: store.slice(start, stop))
+        single = counts(lambda store: [store.get(i) for i in range(start, stop)])
+        assert blockwise == single
+
+    def test_probes_serve_only_cached_blocks_of_opened_shards(self, library_dir, reference):
+        """A probe does no I/O: an unopened shard or an uncached block is a
+        miss that counts nothing, and a served record counts one hit."""
+        with ShardedCorpusStore.open(library_dir, cache_blocks=4) as store:
+            assert store.probe(41) is None
+            assert store.probe_slice(40, 48) is None
+            assert store.open_shard_count == 0
+            assert store.get(41) == reference[41]           # opens shard 1, loads a block
+            assert store.probe(47) == reference[47]
+            assert store.probe(48) is None                  # next block: not cached
+            assert store.probe_slice(40, 49) is None
+            assert store.probe_slice(40, 48) == reference[40:48]
+            assert store.probe_slice(0, 0) == []
+            assert store.cache_stats()["hits"] == 1 + 8
+            assert store.cache_stats()["misses"] == 1
+            assert store.open_shard_count == 1
+
     def test_manifest_record_count_mismatch_detected(self, library_dir, tmp_path):
         manifest = LibraryManifest.load(library_dir)
         lying = LibraryManifest(

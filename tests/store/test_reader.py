@@ -22,9 +22,8 @@ from repro.store import (
     pack_compressed_records,
     pack_records,
 )
+from repro.engine.kernel import BlockKernel
 from repro.store.reader import read_store_records
-from repro.telemetry import MetricsRegistry
-from repro.telemetry.metrics import set_registry
 
 
 @pytest.fixture(scope="module")
@@ -36,16 +35,6 @@ def packed_library(tmp_path_factory, plain_codec, mixed_corpus_small):
     with ZSmilesEngine.from_codec(plain_codec, backend="serial") as engine:
         info = pack_records(path, corpus, engine, records_per_block=10)
     return path, corpus, info
-
-
-@pytest.fixture()
-def decoded_lines():
-    """Lines the kernel has decompressed so far, read from a fresh registry."""
-    registry = MetricsRegistry(enabled=True)
-    set_registry(registry)
-    family = registry.counter("zsmiles_kernel_lines_total", labels=("op",))
-    yield lambda: family.labels("decompress").value
-    set_registry(None)
 
 
 class TestShardReader:
@@ -166,6 +155,66 @@ class TestShardReader:
             assert list(reader.iter_all()) == corpus
             with pytest.raises(RandomAccessError):
                 reader.slice(5, 2)
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(0, 10), (5, 25), (9, 11), (33, 34), (95, 200), (100, 105), (140, 150), (7, 7), (0, 100)],
+    )
+    def test_blockwise_slice_equals_per_record_gets(self, packed_library, start, stop):
+        path, corpus, _ = packed_library
+        with ShardReader(path, cache_blocks=2) as reader:
+            expected = [reader.get(i) for i in range(start, min(stop, len(corpus)))]
+            assert expected == corpus[start:stop]
+            assert reader.slice(start, stop) == expected
+        with ShardReader(path, cache_blocks=2) as cold:
+            assert cold.slice(start, stop) == expected
+
+    @pytest.mark.parametrize("start, stop", [(-1, 3), (5, 2), (-4, -9), (200, 150)])
+    def test_slice_rejects_bad_ranges_on_raw_values(self, packed_library, start, stop):
+        path, _, _ = packed_library
+        with ShardReader(path) as reader:
+            with pytest.raises(RandomAccessError) as raised:
+                reader.slice(start, stop)
+            assert str(raised.value) == f"invalid slice [{start}, {stop})"
+            assert reader.blocks_decoded == 0
+
+    @pytest.mark.parametrize("start, stop", [(5, 25), (0, 100), (33, 34), (18, 31)])
+    def test_slice_counts_what_single_gets_count(
+        self, packed_library, decoded_lines, start, stop
+    ):
+        """One cache lookup per record served: a miss per block loaded, a hit
+        for every other record, and each record decoded once."""
+        path, _, _ = packed_library
+
+        def counts(read) -> tuple:
+            before = decoded_lines()
+            with ShardReader(path, cache_blocks=4) as reader:
+                read(reader)
+                read(reader)   # the second pass is served from what the first cached
+                return (
+                    reader.cache_stats(),
+                    reader.blocks_decoded,
+                    reader.bytes_read,
+                    decoded_lines() - before,
+                )
+
+        blockwise = counts(lambda reader: reader.slice(start, stop))
+        single = counts(lambda reader: [reader.get(i) for i in range(start, stop)])
+        assert blockwise == single
+
+    def test_decode_leaves_compression_tables_uncompiled(self, packed_library, plain_codec):
+        """Decoding never builds the automaton's compression tables: readers
+        only decode, and the transition table is most of a compiled kernel."""
+        path, corpus, _ = packed_library
+        stored = [plain_codec.compress(record) for record in corpus[:10]]
+        kernel = BlockKernel(plain_codec)
+        assert kernel.decompress_block(stored) == corpus[:10]
+        assert kernel.automaton._compiled is None
+        with ShardReader(path) as reader:
+            assert reader.slice(0, 30) == corpus[:30]
+            assert reader._kernel.automaton._compiled is None
+        assert kernel.compress_block(corpus[:10])[0] == stored   # compiles on first use
+        assert kernel.automaton._compiled is not None
 
     def test_embedded_dictionary_builds_codec(self, packed_library):
         path, corpus, _ = packed_library
