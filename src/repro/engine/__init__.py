@@ -14,9 +14,12 @@ The engine has two in-process parse implementations with one invariant:
 * The **kernel** (:mod:`repro.engine.kernel`, backend name ``"kernel"``) is
   the default single-process hot path: the dictionary trie compiled once into
   flat integer transition arrays (:class:`~repro.engine.kernel.CodecAutomaton`),
-  the shortest-path DP run over preallocated scratch, output emitted into a
-  reused ``bytearray``.  Process-pool workers and the ``.zss`` block decoder
-  run the same kernel.
+  and a batch's lines parsed many at a time by the batch DP, which runs the
+  trie walk, the shortest-path DP and the emit over a length-sorted group of
+  lines in numpy.  Groups too small to repay numpy's per-call cost take the
+  per-line DP over preallocated scratch.  Process-pool workers, the
+  library's shard workers and the ``.zss`` block decoder run the same
+  kernel.
 * The **reference** (backend name ``"serial"``) is the seed's per-line
   trie walk (:func:`~repro.core.shortest_path.optimal_parse`); it stays the
   readable oracle that defines correct bytes — including the deterministic
@@ -40,7 +43,6 @@ from .backends import (
     available_backends,
     backend_factory,
     create_backend,
-    default_worker_count,
     register_backend,
 )
 from .baselines import BaselineBackend
@@ -53,6 +55,7 @@ from .config import (
     SERIAL_BACKEND,
     EngineConfig,
     EngineConfigError,
+    default_worker_count,
 )
 from .engine import ZSmilesEngine
 from .kernel import BlockKernel, CodecAutomaton, KernelUnsupportedError

@@ -26,7 +26,6 @@ engine (and the CLI) can select one with a string.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -151,11 +150,6 @@ def _decompress_chunk(chunk: List[str]) -> Tuple[List[str], int, int]:
     if _WORKER_KERNEL is not None:
         return _WORKER_KERNEL.decompress_block(chunk), 0, 0
     return [_WORKER_CODEC.decompress(line) for line in chunk], 0, 0
-
-
-def default_worker_count() -> int:
-    """Worker processes used when none is specified (CPU count, at least 1)."""
-    return max(1, os.cpu_count() or 1)
 
 
 def _batch_stats(
@@ -284,7 +278,7 @@ class ProcessPoolBackend:
         # jobs / chunk_size sanity is EngineConfig.__post_init__'s job.
         config = config or EngineConfig()
         self.codec = codec
-        self.workers = config.jobs or default_worker_count()
+        self.workers = config.worker_count()
         self.chunk_size = config.chunk_size
         self.use_kernel = config.parser == KERNEL_PARSER
         self._stats = BackendStats()

@@ -12,6 +12,7 @@ trains, preprocesses, parses and executes batches.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -39,6 +40,11 @@ PARSER_CHOICES: Tuple[str, ...] = (KERNEL_PARSER, REFERENCE_PARSER)
 
 class EngineConfigError(ReproError):
     """Raised when an :class:`EngineConfig` is inconsistent."""
+
+
+def default_worker_count() -> int:
+    """Worker processes used when none is specified (CPU count, at least 1)."""
+    return max(1, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -140,18 +146,23 @@ class EngineConfig:
         """A copy of this configuration with *changes* applied."""
         return dataclasses.replace(self, **changes)
 
+    def worker_count(self) -> int:
+        """Worker processes of the process pool: *jobs*, else the CPU count."""
+        return self.jobs or default_worker_count()
+
     def resolved_backend(self, batch_size: int) -> str:
         """Concrete backend name for a batch of *batch_size* records.
 
         ``"auto"`` picks the process pool for large batches (at least
-        *parallel_threshold* records) unless the pool is configured down to a
-        single worker, in which case spawning processes can never pay off.
-        Small batches run in-process through the configured *parser*: the
-        flat-array kernel by default, the reference oracle on request.
+        *parallel_threshold* records) unless the pool would have a single
+        worker (``jobs=1``, or no *jobs* on a one-CPU host), in which case
+        spawning processes can never pay off.  Small batches run in-process
+        through the configured *parser*: the flat-array kernel by default,
+        the reference oracle on request.
         """
         if self.backend != AUTO_BACKEND:
             return self.backend
-        if self.jobs == 1 or batch_size < self.parallel_threshold:
+        if batch_size < self.parallel_threshold or self.worker_count() == 1:
             return KERNEL_BACKEND if self.parser == KERNEL_PARSER else SERIAL_BACKEND
         return PROCESS_BACKEND
 

@@ -19,9 +19,8 @@ from ..engine.backends import (
     _compress_chunk,
     _decompress_chunk,
     _init_worker,
-    default_worker_count,
 )
-from ..engine.config import EngineConfig
+from ..engine.config import EngineConfig, default_worker_count
 from ..errors import ParallelExecutionError
 
 __all__ = [

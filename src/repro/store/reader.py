@@ -57,10 +57,25 @@ PathLike = Union[str, Path]
 #: Default number of blocks kept in the LRU cache.
 DEFAULT_CACHE_BLOCKS = 16
 
-#: One cached block: its verified stored records, and its records decoded so
-#: far (``None`` where not yet decoded; the stored list itself when the
-#: reader has no codec).
-CachedBlock = Tuple[List[str], List[Optional[str]]]
+class CachedBlock:
+    """One cached block: its verified stored records, and its records decoded
+    so far (``None`` where not yet decoded; the stored list itself when the
+    reader has no codec).
+
+    ``complete`` marks a block whose records are all decoded, so a warm range
+    skips the scan for missing ones.  Only a reader that has just seen every
+    record of the block decoded sets it; decoded records never go back to
+    ``None``, so the marker only moves from ``False`` to ``True`` and needs
+    no lock.
+    """
+
+    __slots__ = ("stored", "decoded", "complete")
+
+    def __init__(self, stored: List[str], decoded: List[Optional[str]]):
+        self.stored = stored
+        self.decoded = decoded
+        self.complete = decoded is stored
+
 
 #: Records ``lo`` … ``hi`` (exclusive, block-relative) of one cached block.
 CachedSpan = Tuple[CachedBlock, int, int]
@@ -103,7 +118,7 @@ class BlockCache:
     cache across shards through :class:`BlockCacheView`, whose keys are
     ``(shard path, block)`` pairs — one capacity budget for the whole library
     (or several libraries sharing a cache).  :class:`ShardReader` stores one
-    :data:`CachedBlock` per block.
+    :class:`CachedBlock` per block.
     """
 
     def __init__(self, capacity: int):
@@ -505,7 +520,7 @@ class ShardReader(RecordAccessMixin):
     def get_raw(self, index: int) -> str:
         """The stored (compressed) record at *index* (LRU-cached per block)."""
         block = self.block_of(index)
-        return self._cached_block(block)[0][index - block * self.records_per_block]
+        return self._cached_block(block).stored[index - block * self.records_per_block]
 
     def slice(self, start: int, stop: int) -> List[str]:
         """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped).
@@ -553,7 +568,7 @@ class ShardReader(RecordAccessMixin):
         """
         for block in range(self.block_count):
             entry = self._cached_block(block)
-            yield from self._decode_span(entry, 0, len(entry[0]))
+            yield from self._decode_span(entry, 0, len(entry.stored))
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -628,7 +643,7 @@ class ShardReader(RecordAccessMixin):
         self._check_quarantine(block)
         started = time.perf_counter()
         stored = self._load_payload(block)
-        entry = (stored, stored if self.codec is None else [None] * len(stored))
+        entry = CachedBlock(stored, stored if self.codec is None else [None] * len(stored))
         with self._io_lock:
             self.blocks_decoded += 1
         self._metric_blocks_decoded.inc()
@@ -647,20 +662,24 @@ class ShardReader(RecordAccessMixin):
 
     def _record(self, entry: CachedBlock, offset: int) -> str:
         """Record *offset* of a cached block, decoded on its first read."""
-        stored, decoded = entry
+        decoded = entry.decoded
         record = decoded[offset]
         if record is None:
-            record = decoded[offset] = self._decompress([stored[offset]])[0]
+            record = decoded[offset] = self._decompress([entry.stored[offset]])[0]
         return record
 
     def _decode_span(self, entry: CachedBlock, lo: int, hi: int) -> List[str]:
         """Records ``lo`` … ``hi`` of a cached block; the missing ones decode
-        in one kernel call."""
-        stored, decoded = entry
-        missing = [k for k in range(lo, hi) if decoded[k] is None]
-        if missing:
-            for k, record in zip(missing, self._decompress([stored[k] for k in missing])):
-                decoded[k] = record
+        in one kernel call, and a complete block skips the scan for them."""
+        decoded = entry.decoded
+        if not entry.complete:
+            stored = entry.stored
+            missing = [k for k in range(lo, hi) if decoded[k] is None]
+            if missing:
+                for k, record in zip(missing, self._decompress([stored[k] for k in missing])):
+                    decoded[k] = record
+            if lo == 0 and hi == len(decoded):
+                entry.complete = True  # this span has seen every record decoded
         return decoded[lo:hi]  # type: ignore[return-value]
 
     def _decompress(self, stored: List[str]) -> List[str]:

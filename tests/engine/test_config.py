@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.compressor import ParseStrategy
@@ -57,6 +59,12 @@ class TestDictionarySlice:
         assert EngineConfig(preprocessing=False).build_pipeline()("CC") == "CC"
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Pin the host's CPU count: ``cpus(n)``."""
+    return lambda count: monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
 class TestBackendResolution:
     def test_explicit_backend_wins(self):
         config = EngineConfig(backend=SERIAL_BACKEND, parallel_threshold=0)
@@ -66,7 +74,8 @@ class TestBackendResolution:
         config = EngineConfig(parallel_threshold=100)
         assert config.resolved_backend(99) == KERNEL_BACKEND
 
-    def test_auto_large_batch_is_process(self):
+    def test_auto_large_batch_is_process(self, cpus):
+        cpus(2)
         config = EngineConfig(parallel_threshold=100)
         assert config.resolved_backend(100) == PROCESS_BACKEND
 
@@ -74,7 +83,30 @@ class TestBackendResolution:
         config = EngineConfig(parallel_threshold=100, jobs=1)
         assert config.resolved_backend(10**6) == KERNEL_BACKEND
 
-    def test_reference_parser_routes_auto_to_serial(self):
+    def test_auto_on_one_cpu_host_stays_in_process(self, cpus):
+        # No jobs: the pool would get one worker per CPU, so one worker.
+        cpus(1)
+        config = EngineConfig(parallel_threshold=100)
+        assert config.worker_count() == 1
+        assert config.resolved_backend(10**6) == KERNEL_BACKEND
+        assert EngineConfig(parallel_threshold=100, parser="reference").resolved_backend(
+            10**6
+        ) == SERIAL_BACKEND
+        # Explicit jobs still decide, whatever the host.
+        assert EngineConfig(parallel_threshold=100, jobs=2).resolved_backend(100) == PROCESS_BACKEND
+
+    def test_pool_and_routing_share_the_worker_count(self, cpus):
+        from repro.engine import ProcessPoolBackend
+
+        for count in (1, 3):
+            cpus(count)
+            for jobs in (None, 2):
+                config = EngineConfig(jobs=jobs)
+                assert ProcessPoolBackend(None, config).workers == config.worker_count()
+                assert config.worker_count() == (jobs or count)
+
+    def test_reference_parser_routes_auto_to_serial(self, cpus):
+        cpus(2)
         config = EngineConfig(parallel_threshold=100, parser="reference")
         assert config.resolved_backend(99) == SERIAL_BACKEND
         assert config.resolved_backend(100) == PROCESS_BACKEND

@@ -20,7 +20,7 @@ from repro.core.streaming import read_lines
 from repro.dictionary.codec_table import CodecTable, DictionaryEntry
 from repro.engine import EngineConfig, ZSmilesEngine, available_backends
 from repro.engine.backends import KernelBackend, SerialBackend
-from repro.engine.kernel import BlockKernel, CodecAutomaton
+from repro.engine.kernel import BATCH_MIN_LINES, BlockKernel, CodecAutomaton
 from repro.errors import CompressionError, DecompressionError
 
 from ..conftest import CURATED_SMILES
@@ -255,6 +255,95 @@ class TestHypothesisParity:
         kernel = BlockKernel(greedy_codec)
         expected, matches, escapes = reference_records(greedy_codec, lines)
         assert kernel.compress_block(lines) == (expected, matches, escapes)
+
+
+# --------------------------------------------------------------------------- #
+# Batch DP: whole batches at once, against the serial backend
+# --------------------------------------------------------------------------- #
+#: Every Latin-1 character a line may hold: all but the line terminators.
+_LATIN1 = st.characters(max_codepoint=0xFF, exclude_characters="\n\r")
+
+
+@pytest.fixture(scope="module", params=[5, 8, 15], ids=lambda lmax: f"lmax{lmax}")
+def batch_engine(request, mixed_corpus_small):
+    """An engine per Figure 5 ``Lmax``, without preprocessing, so every
+    generated character reaches the parse."""
+    engine = ZSmilesEngine.train(
+        mixed_corpus_small, EngineConfig(preprocessing=False, lmax=request.param)
+    )
+    yield engine
+    engine.close()
+
+
+def _batch_lines(engine, corpus):
+    """Lines for one batch: SMILES, SMILES-like and arbitrary Latin-1 text,
+    empty lines, runs of exactly the longest pattern length, long lines."""
+    lmax = engine.table.max_pattern_length
+    longest = sorted(p for p in engine.table.patterns() if len(p) == lmax)
+    piece = st.one_of(
+        st.sampled_from(corpus),
+        _SMILES_ISH,
+        st.text(_LATIN1, max_size=60),
+        st.lists(st.sampled_from(longest), min_size=1, max_size=5).map("".join),
+    )
+    return st.one_of(
+        st.sampled_from(corpus),
+        piece,
+        st.just(""),
+        st.text(st.sampled_from(" C("), max_size=12),   # escapes and short walks
+        st.tuples(piece, st.integers(20, 120)).map(lambda pair: pair[0] * pair[1]),
+    )
+
+
+def _assert_serial_parity(engine, lines):
+    serial = engine.compress_batch(lines, backend="serial")
+    kernel = engine.compress_batch(lines, backend="kernel")
+    assert kernel.records == serial.records
+    assert (kernel.stats.matches, kernel.stats.escapes) == (
+        serial.stats.matches,
+        serial.stats.escapes,
+    )
+
+
+class TestBatchParity:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_generated_batches_match_serial(self, batch_engine, mixed_corpus_small, data):
+        line = _batch_lines(batch_engine, mixed_corpus_small)
+        size = data.draw(st.integers(1, 300), label="size")
+        lines = data.draw(st.lists(line, min_size=size, max_size=size), label="lines")
+        _assert_serial_parity(batch_engine, lines)
+
+    def test_batch_out_of_length_order(self, batch_engine, mixed_corpus_small):
+        # Longest first, then interleaved, so sorting by length moves every
+        # line; beyond-Latin-1 and empty lines keep their slots too.
+        by_length = sorted(mixed_corpus_small, key=len, reverse=True)
+        lines = by_length[::2] + ["", "CΔC", " "] + by_length[1::2]
+        assert sorted(lines, key=len) != lines
+        _assert_serial_parity(batch_engine, lines)
+        assert batch_engine.backend("kernel").kernel.automaton._batch._table is not None   # the batch DP ran
+
+    def test_lines_wider_than_a_group(self, batch_engine, mixed_corpus_small):
+        # One line past a group's cell budget, and lines of several thousand
+        # characters among ordinary ones, take the per-line loop.
+        batch_engine.compress_batch(mixed_corpus_small[:64], backend="kernel")
+        cells = batch_engine.backend("kernel").kernel.automaton._batch.cells
+        wide = ("CC(=O)N" * (cells // 7 + 2))[: cells + 1]
+        lines = mixed_corpus_small[:100] + [wide, "c1ccccc1" * 400, "Cl" * 2500]
+        _assert_serial_parity(batch_engine, lines)
+
+    def test_dense_groups_either_side_of_the_crossover(self, batch_engine):
+        # Equal-length lines: BATCH_MIN_LINES - 1 take the per-line loop,
+        # BATCH_MIN_LINES the batch DP; both give the serial bytes.
+        for count in (BATCH_MIN_LINES - 1, BATCH_MIN_LINES):
+            kernel = BlockKernel(batch_engine.codec)
+            lines = [f"CC(C)N{i % 10}CCO" for i in range(count)]
+            expected = batch_engine.compress_batch(lines, backend="serial")
+            records, matches, escapes = kernel.compress_block(lines)
+            assert records == expected.records
+            assert (matches, escapes) == (expected.stats.matches, expected.stats.escapes)
+            built = kernel.automaton._batch._table is not None
+            assert built == (count >= BATCH_MIN_LINES)
 
 
 def _decoded_or_error(decode, lines):

@@ -112,6 +112,27 @@ class TestShardReader:
             assert read_store_records(path) == corpus  # a new reader decodes again
             assert decoded_lines() == 2 * len(corpus)
 
+    def test_whole_block_span_marks_the_block_complete(self, packed_library, decoded_lines):
+        """Only a span over a whole block marks it complete (its later ranges
+        skip the scan for undecoded records); single gets and partial spans
+        leave the mark unset, and a complete block serves without decoding."""
+        path, corpus, _ = packed_library
+        with ShardReader(path, cache_blocks=16) as reader:
+            complete = lambda: [reader._cache.find(b).complete for b in range(3)]
+            assert [reader.get(i) for i in range(10)] == corpus[:10]   # all of block 0
+            assert reader.slice(12, 20) == corpus[12:20]
+            assert reader.slice(20, 25) == corpus[20:25]
+            assert complete() == [False, False, False]
+            assert reader.slice(0, 25) == corpus[:25]
+            assert complete() == [True, True, False]
+            before = decoded_lines()
+            assert reader.slice(0, 30) == corpus[:30]
+            assert complete() == [True, True, True]
+            assert decoded_lines() == before + 5   # block 2's records 25-29
+            assert reader.slice(0, 30) == corpus[:30]
+            assert reader.slice(5, 28) == corpus[5:28]
+            assert decoded_lines() == before + 5
+
     def test_record_served_beside_an_undecodable_one(
         self, packed_library, plain_codec, tmp_path
     ):
@@ -204,17 +225,25 @@ class TestShardReader:
 
     def test_decode_leaves_compression_tables_uncompiled(self, packed_library, plain_codec):
         """Decoding never builds the automaton's compression tables: readers
-        only decode, and the transition table is most of a compiled kernel."""
+        only decode, and the transition table is most of a compiled kernel.
+        Nor the batch DP's numpy tables, which only a batch compression
+        builds."""
         path, corpus, _ = packed_library
         stored = [plain_codec.compress(record) for record in corpus[:10]]
         kernel = BlockKernel(plain_codec)
         assert kernel.decompress_block(stored) == corpus[:10]
         assert kernel.automaton._compiled is None
+        assert kernel.automaton._batch is None
         with ShardReader(path) as reader:
             assert reader.slice(0, 30) == corpus[:30]
             assert reader._kernel.automaton._compiled is None
+            assert list(reader.iter_all()) == corpus
+            assert reader._kernel.automaton._compiled is None
+            assert reader._kernel.automaton._batch is None
         assert kernel.compress_block(corpus[:10])[0] == stored   # compiles on first use
         assert kernel.automaton._compiled is not None
+        kernel.compress_block(corpus)   # a batch the batch DP parses
+        assert kernel.automaton._batch._table is not None
 
     def test_embedded_dictionary_builds_codec(self, packed_library):
         path, corpus, _ = packed_library
