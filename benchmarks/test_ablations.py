@@ -14,11 +14,16 @@ from __future__ import annotations
 
 from repro.core.codec import ZSmilesCodec
 from repro.core.compressor import ParseStrategy
+from repro.engine import ZSmilesEngine
 from repro.metrics.reporting import ResultTable
 
 
-def _train(corpus, scale, **kwargs) -> ZSmilesCodec:
-    return ZSmilesCodec.train(corpus[: scale.training_size], **kwargs)
+def _engine(codec: ZSmilesCodec) -> ZSmilesEngine:
+    return ZSmilesEngine.from_codec(codec, backend="kernel")
+
+
+def _train(corpus, scale, **kwargs) -> ZSmilesEngine:
+    return _engine(ZSmilesCodec.train(corpus[: scale.training_size], **kwargs))
 
 
 def test_ablation_optimal_vs_greedy_parse(benchmark, corpus, scale, shared_codec, report):
@@ -28,7 +33,10 @@ def test_ablation_optimal_vs_greedy_parse(benchmark, corpus, scale, shared_codec
         greedy_codec = ZSmilesCodec(
             shared_codec.table, pipeline=shared_codec.pipeline, strategy=ParseStrategy.GREEDY
         )
-        return shared_codec.compression_ratio(evaluation), greedy_codec.compression_ratio(evaluation)
+        return (
+            _engine(shared_codec).compression_ratio(evaluation),
+            _engine(greedy_codec).compression_ratio(evaluation),
+        )
 
     optimal_ratio, greedy_ratio = benchmark.pedantic(run, rounds=1, iterations=1)
     table = ResultTable(
@@ -47,8 +55,8 @@ def test_ablation_ring_policy(benchmark, corpus, scale, report):
     def run():
         ratios = {}
         for policy in ("innermost", "outermost"):
-            codec = _train(corpus, scale, preprocessing=True, ring_policy=policy, lmax=8)
-            ratios[policy] = codec.compression_ratio(evaluation)
+            engine = _train(corpus, scale, preprocessing=True, ring_policy=policy, lmax=8)
+            ratios[policy] = engine.compression_ratio(evaluation)
         return ratios
 
     ratios = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -70,8 +78,8 @@ def test_ablation_rank_mode(benchmark, corpus, scale, report):
     def run():
         ratios = {}
         for mode in ("savings", "coverage"):
-            codec = _train(corpus, scale, preprocessing=True, lmax=8, rank_mode=mode)
-            ratios[mode] = codec.compression_ratio(evaluation)
+            engine = _train(corpus, scale, preprocessing=True, lmax=8, rank_mode=mode)
+            ratios[mode] = engine.compression_ratio(evaluation)
         return ratios
 
     ratios = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -93,8 +101,8 @@ def test_ablation_dictionary_size(benchmark, corpus, scale, report):
     def run():
         out = {}
         for size in sizes:
-            codec = _train(corpus, scale, preprocessing=True, lmax=8, max_entries=size)
-            out[size] = codec.compression_ratio(evaluation)
+            engine = _train(corpus, scale, preprocessing=True, lmax=8, max_entries=size)
+            out[size] = engine.compression_ratio(evaluation)
         return out
 
     ratios = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.core.random_access import LineIndex, RandomAccessReader
-from repro.core.streaming import compress_file, write_lines
+from repro.core.streaming import write_lines
 from repro.engine import ZSmilesEngine
 from repro.library import AsyncCorpusLibrary, CorpusLibrary, pack_library
 from repro.metrics.reporting import ResultTable
@@ -45,7 +45,7 @@ def layouts(tmp_path_factory, shared_codec, serving_corpus):
     smi = directory / "corpus.smi"
     zsmi = directory / "corpus.zsmi"
     write_lines(smi, serving_corpus)
-    compress_file(shared_codec, smi, zsmi)
+    ZSmilesEngine.from_codec(shared_codec, backend="kernel").compress_file(smi, zsmi)
     index = LineIndex.build(zsmi)
     index.save(LineIndex.default_path(zsmi))
 

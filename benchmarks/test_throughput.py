@@ -21,9 +21,8 @@ import time
 
 import pytest
 
-from repro.core.codec import ZSmilesCodec
 from repro.core.random_access import LineIndex, RandomAccessReader
-from repro.core.streaming import compress_file, write_lines
+from repro.core.streaming import write_lines
 from repro.dictionary.generator import train_dictionary
 from repro.engine import ZSmilesEngine
 from repro.preprocess.ring_renumber import renumber_rings
@@ -50,10 +49,11 @@ def test_decompress_single_record(benchmark, shared_codec):
 
 
 def test_compress_corpus_batch(benchmark, shared_codec, sample_lines):
-    compressed = benchmark.pedantic(
-        shared_codec.compress_many, args=(sample_lines,), rounds=1, iterations=1
+    engine = ZSmilesEngine.from_codec(shared_codec, backend="kernel")
+    result = benchmark.pedantic(
+        engine.compress_batch, args=(sample_lines,), rounds=1, iterations=1
     )
-    assert len(compressed) == len(sample_lines)
+    assert len(result.records) == len(sample_lines)
 
 
 def test_ring_renumbering_throughput(benchmark):
@@ -75,7 +75,7 @@ def test_random_access_fetch(benchmark, shared_codec, sample_lines, tmp_path_fac
     smi = directory / "lib.smi"
     zsmi = directory / "lib.zsmi"
     write_lines(smi, sample_lines)
-    compress_file(shared_codec, smi, zsmi)
+    ZSmilesEngine.from_codec(shared_codec, backend="kernel").compress_file(smi, zsmi)
     index = LineIndex.build(zsmi)
     reader = RandomAccessReader(zsmi, index=index, codec=shared_codec)
     reader.open()
@@ -168,11 +168,11 @@ def test_codec_kernel_vs_reference(shared_codec, corpus, scale, results_dir):
 
 
 def test_parallel_codec_batch(benchmark, shared_codec, sample_lines):
-    """Process-pool backend on a batch (falls back to serial under the threshold)."""
-    from repro.parallel.executor import ParallelCodec
-
-    parallel = ParallelCodec(shared_codec, workers=2, chunk_size=128, serial_threshold=0)
-    compressed = benchmark.pedantic(
-        parallel.compress_many, args=(sample_lines,), rounds=1, iterations=1
-    )
-    assert len(compressed) == len(sample_lines)
+    """Process-pool backend on a batch (pool start-up included)."""
+    with ZSmilesEngine.from_codec(
+        shared_codec, backend="process", jobs=2, chunk_size=128
+    ) as engine:
+        result = benchmark.pedantic(
+            engine.compress_batch, args=(sample_lines,), rounds=1, iterations=1
+        )
+    assert len(result.records) == len(sample_lines)

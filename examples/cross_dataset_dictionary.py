@@ -17,7 +17,7 @@ Run with:  python examples/cross_dataset_dictionary.py
 
 from __future__ import annotations
 
-from repro import ZSmilesCodec
+from repro import ZSmilesEngine
 from repro.datasets import mixed
 from repro.metrics.reporting import ResultTable
 
@@ -27,8 +27,8 @@ def main() -> None:
     order = ["GDB-17", "MEDIATE", "EXSCALATE", "MIXED"]
 
     print("training one dictionary per dataset...")
-    codecs = {
-        name: ZSmilesCodec.train(corpora[name], preprocessing=True, lmax=8)
+    engines = {
+        name: ZSmilesEngine.train(corpora[name], preprocessing=True, lmax=8)
         for name in order
     }
 
@@ -38,7 +38,7 @@ def main() -> None:
     )
     averages = {}
     for train in order:
-        ratios = [codecs[train].compression_ratio(corpora[test]) for test in order]
+        ratios = [engines[train].compression_ratio(corpora[test]) for test in order]
         averages[train] = sum(ratios) / len(ratios)
         table.add_row(train, *ratios, averages[train])
     print()

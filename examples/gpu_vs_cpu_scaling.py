@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import time
 
-from repro import ZSmilesCodec
+from repro import ZSmilesCodec, ZSmilesEngine
 from repro.datasets import mixed
 from repro.metrics.reporting import ResultTable
-from repro.parallel import CPU_PROFILE, GPU_PROFILE, ParallelCodec, run_performance_sweep
+from repro.parallel import CPU_PROFILE, GPU_PROFILE, run_performance_sweep
 
 
 def simulated_figure5() -> None:
@@ -46,21 +46,20 @@ def real_process_pool() -> None:
     codec = ZSmilesCodec.train(corpus[:1_000], preprocessing=True, lmax=8)
     batch = corpus[1_000:]
 
-    start = time.perf_counter()
-    serial = codec.compress_many(batch)
-    serial_time = time.perf_counter() - start
+    with ZSmilesEngine.from_codec(codec, backend="process", chunk_size=256) as engine:
+        start = time.perf_counter()
+        serial = engine.compress_batch(batch, backend="serial").records
+        serial_time = time.perf_counter() - start
 
-    parallel_codec = ParallelCodec(codec, chunk_size=256, serial_threshold=0)
-    start = time.perf_counter()
-    parallel = parallel_codec.compress_many(batch)
-    parallel_time = time.perf_counter() - start
+        start = time.perf_counter()
+        result = engine.compress_batch(batch)
+        parallel_time = time.perf_counter() - start
 
-    assert parallel == serial  # identical output, any number of workers
-    stats = parallel_codec.last_stats
+    assert result.records == serial  # identical output, any number of workers
     print("real CPU process pool:")
     print(f"  records:        {len(batch)}")
     print(f"  serial:         {serial_time:.2f} s")
-    print(f"  {stats.workers} workers:     {parallel_time:.2f} s "
+    print(f"  {result.workers} workers:     {parallel_time:.2f} s "
           f"(speedup {serial_time / max(parallel_time, 1e-9):.2f}x, "
           "includes process start-up)")
 

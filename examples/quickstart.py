@@ -44,10 +44,9 @@ unified engine surface:
     read the request's span back from ``/stats?trace=recent`` — ``zsmiles
     serve --access-log`` and ``zsmiles stats URL --watch`` on the CLI.
 
-Migrating from the pre-engine API?  ``ZSmilesCodec.train`` →
-``ZSmilesEngine.train``, ``codec.compress_many(xs)`` →
-``engine.compress_batch(xs).records``, ``compress_file(codec, path)`` →
-``engine.compress_file(path)``; the old names still work as shims.
+Holding a ``ZSmilesCodec``?  ``ZSmilesEngine.from_codec(codec)`` gives the
+same batch, corpus and file surface: ``compress_batch(xs).records``,
+``evaluate(corpus)``, ``compress_file(path)``.
 Migrating reader plumbing?  See the serving guide in ``repro.library``.
 
 Run with:  python examples/quickstart.py

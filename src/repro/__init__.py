@@ -3,10 +3,11 @@
 The compression surface is unified behind the batch-first
 :class:`~repro.engine.ZSmilesEngine`: one facade, configured by a single
 :class:`~repro.engine.EngineConfig`, running on pluggable execution backends
-(``"serial"``, ``"process"``, or ``"auto"``, which picks the process pool for
-large batches).  Every batch operation returns a
-:class:`~repro.engine.BatchResult` carrying the transformed records, the
-aggregate :class:`~repro.core.codec.CodecStats` and the wall time::
+(``"serial"``, the per-line oracle; ``"kernel"``; ``"process"``; or
+``"auto"``, which picks the process pool for large batches).  Every batch
+operation returns a :class:`~repro.engine.BatchResult` carrying the
+transformed records, the aggregate :class:`~repro.core.codec.CodecStats` and
+the wall time::
 
     from repro import EngineConfig, ZSmilesEngine
 
@@ -15,27 +16,13 @@ aggregate :class:`~repro.core.codec.CodecStats` and the wall time::
     engine.compress_file("library.smi")              # .smi -> .zsmi
     restored = engine.decompress_batch(result.records).records
 
-Migration from the pre-engine surface (the old names keep working as thin
-shims delegating to the engine):
-
-===================================================  =========================================================
-Old entry point                                      Engine equivalent
-===================================================  =========================================================
-``ZSmilesCodec.train(corpus, lmax=8)``               ``ZSmilesEngine.train(corpus, lmax=8)``
-``codec.compress_many(xs)``                          ``engine.compress_batch(xs).records``
-``codec.decompress_many(xs)``                        ``engine.decompress_batch(xs).records``
-``codec.evaluate(corpus)``                           ``engine.evaluate(corpus)``
-``compress_file(codec, path)``                       ``engine.compress_file(path)``
-``decompress_file(codec, path)``                     ``engine.decompress_file(path)``
-``ParallelCodec(codec, workers=8).compress_many``    ``ZSmilesEngine.from_codec(codec, backend="process", jobs=8).compress_batch``
-``BaselineCodec.compression_ratio(corpus)``          ``BaselineBackend(codec).compress_batch(corpus).stats.ratio``
-===================================================  =========================================================
-
 Single-record helpers (``engine.compress`` / ``engine.decompress`` /
-``engine.preprocess``) remain available for interactive use; the lower-level
-subpackages (``repro.smiles``, ``repro.core``, ``repro.dictionary``,
-``repro.datasets``, ``repro.baselines``, ``repro.parallel``,
-``repro.screening``, ``repro.experiments``) are unchanged building blocks.
+``engine.preprocess``) remain available for interactive use, and
+``ZSmilesEngine.from_codec(codec)`` wraps an existing
+:class:`~repro.core.codec.ZSmilesCodec`.  The lower-level subpackages
+(``repro.smiles``, ``repro.core``, ``repro.dictionary``, ``repro.datasets``,
+``repro.baselines``, ``repro.parallel``, ``repro.screening``,
+``repro.experiments``) are the building blocks.
 
 Corpora are served at scale from the block-compressed ``.zss`` store
 (:mod:`repro.store`): ``pack_records`` / ``pack_file`` pack through the
@@ -54,7 +41,6 @@ from .core.codec import CodecStats, ZSmilesCodec
 from .core.compressor import Compressor, ParseStrategy
 from .core.decompressor import Decompressor
 from .core.random_access import LineIndex, RandomAccessReader
-from .core.streaming import compress_file, decompress_file
 from .dictionary.codec_table import CodecTable
 from .dictionary.generator import DictionaryConfig, train_dictionary
 from .dictionary.prepopulation import PrePopulation
@@ -179,7 +165,7 @@ __all__ = [
     "pack_file",
     "pack_records",
     "repair_path",
-    # Building blocks and legacy shims.
+    # Building blocks.
     "CodecStats",
     "ZSmilesCodec",
     "Compressor",
@@ -187,8 +173,6 @@ __all__ = [
     "Decompressor",
     "LineIndex",
     "RandomAccessReader",
-    "compress_file",
-    "decompress_file",
     "CodecTable",
     "DictionaryConfig",
     "train_dictionary",

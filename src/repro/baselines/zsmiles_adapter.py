@@ -66,8 +66,11 @@ class ZSmilesBaseline(BaselineCodec):
         on-line copy), and the resulting ``.zsmi`` file is then bzip2'd for
         cold storage.
         """
-        codec = self._require_codec()
-        compressed_lines = [codec.compress(record) for record in corpus]
+        # Imported here: repro.engine.baselines imports this package.
+        from ..engine.engine import ZSmilesEngine
+
+        engine = ZSmilesEngine.from_codec(self._require_codec(), backend="kernel")
+        compressed_lines = engine.compress_batch(corpus).records
         zsmiles_ratio = sum(len(line) + 1 for line in compressed_lines) / max(
             1, sum(len(record) + 1 for record in corpus)
         )

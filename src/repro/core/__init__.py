@@ -6,14 +6,7 @@ from .decompressor import Decompressor
 from .escape import escape_char, escaped_length, iter_compressed_units
 from .random_access import LineIndex, RandomAccessReader
 from .shortest_path import ParseStep, greedy_parse, optimal_parse, parse_cost, parse_consumes
-from .streaming import (
-    FileStats,
-    compress_file,
-    decompress_file,
-    read_lines,
-    verify_separability,
-    write_lines,
-)
+from .streaming import FileStats, read_lines, write_lines
 
 __all__ = [
     "CodecStats",
@@ -34,9 +27,6 @@ __all__ = [
     "parse_cost",
     "parse_consumes",
     "FileStats",
-    "compress_file",
-    "decompress_file",
     "read_lines",
-    "verify_separability",
     "write_lines",
 ]

@@ -15,6 +15,10 @@ Typical usage::
     z = codec.compress("COc1cc(C=O)ccc1O")
     assert codec.decompress(z) == codec.preprocess("COc1cc(C=O)ccc1O")
 
+Batches, corpus statistics and files go through the engine:
+``ZSmilesEngine.from_codec(codec).compress_batch(xs)``, ``.evaluate(corpus)``
+and ``.compress_file(path)`` (see :mod:`repro.engine`).
+
 Note that decompression returns the *preprocessed* SMILES: the ring-identifier
 renumbering is a canonicalization, not an invertible transform, but the
 renumbered string denotes exactly the same molecule (Section IV-A).  With
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from ..dictionary.codec_table import CodecTable
 from ..dictionary.generator import DictionaryConfig, DictionaryGenerator, TrainingReport
@@ -33,12 +37,7 @@ from ..dictionary.prepopulation import PrePopulation
 from ..dictionary import serialization
 from ..preprocess.pipeline import PreprocessingPipeline, make_pipeline
 from ..preprocess.ring_renumber import RingRenumberPolicy
-from .compressor import (
-    CompressionRecord,
-    Compressor,
-    ParseStrategy,
-    compression_ratio,
-)
+from .compressor import CompressionRecord, Compressor, ParseStrategy
 from .decompressor import Decompressor
 
 
@@ -153,47 +152,6 @@ class ZSmilesCodec:
         return self.decompressor.decompress_line(compressed)
 
     # ------------------------------------------------------------------ #
-    # Corpus operations (deprecation shims delegating to the engine)
-    # ------------------------------------------------------------------ #
-    def _serial_engine(self):
-        """An in-process :class:`~repro.engine.ZSmilesEngine` over this codec.
-
-        Imported lazily — the engine package builds on this module.  Batches
-        run through the flat-array kernel backend (byte-identical to the
-        per-line reference path, several times faster).
-        """
-        from ..engine.engine import ZSmilesEngine
-
-        return ZSmilesEngine.from_codec(self, backend="kernel")
-
-    def compress_many(self, smiles_list: Sequence[str]) -> List[str]:
-        """Compress a sequence of SMILES (order preserved, one output per input).
-
-        Deprecated shim: prefer :meth:`repro.engine.ZSmilesEngine.compress_batch`.
-        """
-        return self._serial_engine().compress_batch(smiles_list).records
-
-    def decompress_many(self, compressed_list: Sequence[str]) -> List[str]:
-        """Decompress a sequence of records (order preserved).
-
-        Deprecated shim: prefer :meth:`repro.engine.ZSmilesEngine.decompress_batch`.
-        """
-        return self._serial_engine().decompress_batch(compressed_list).records
-
-    def evaluate(self, corpus: Sequence[str]) -> CodecStats:
-        """Compress *corpus* and collect aggregate statistics.
-
-        File sizes include one newline byte per record on both sides, matching
-        the paper's file-level compression-ratio measurements.  Deprecated
-        shim: prefer :meth:`repro.engine.ZSmilesEngine.evaluate`.
-        """
-        return self._serial_engine().evaluate(corpus)
-
-    def compression_ratio(self, corpus: Sequence[str]) -> float:
-        """Corpus compression ratio (compressed bytes / original bytes)."""
-        return self.evaluate(corpus).ratio
-
-    # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
     def save_dictionary(self, path: Union[str, Path]) -> None:
@@ -225,5 +183,4 @@ class ZSmilesCodec:
 __all__ = [
     "CodecStats",
     "ZSmilesCodec",
-    "compression_ratio",
 ]

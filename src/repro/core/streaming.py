@@ -1,22 +1,18 @@
-"""File-level compression / decompression with line separability.
+"""Line I/O for ``.smi`` and ``.zsmi`` files.
 
 The storage contract of ZSMILES (Section I, "random access" requirement) is
 that the compressed file has exactly one record per line, on the same line
-number as the input record.  The ``.smi`` ↔ ``.zsmi`` file flows of Figure 3
-are implemented by :meth:`repro.engine.ZSmilesEngine.compress_file` /
-``decompress_file``; the free functions here are kept as thin shims for
-callers that still hold a bare :class:`ZSmilesCodec`.  Streaming is
-batch-at-a-time, so arbitrarily large libraries never need to fit in memory.
+number as the input record.  This module reads and writes such files and
+holds their shared conventions (encoding, suffixes, :class:`FileStats`); the
+``.smi`` ↔ ``.zsmi`` file flows of Figure 3 are
+:meth:`repro.engine.ZSmilesEngine.compress_file` and ``decompress_file``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Union
-
-from ..errors import CodecError
-from .codec import ZSmilesCodec
+from typing import Iterable, Iterator, Union
 
 PathLike = Union[str, Path]
 
@@ -67,109 +63,3 @@ def write_lines(path: PathLike, lines: Iterable[str], encoding: str = FILE_ENCOD
             handle.write("\n")
             count += 1
     return count
-
-
-def _transform_file(
-    input_path: PathLike,
-    output_path: PathLike,
-    transform: Callable[[str], str],
-    progress: Optional[Callable[[int], None]] = None,
-    encoding: str = FILE_ENCODING,
-) -> FileStats:
-    """Apply a per-record *transform* to a line-oriented file.
-
-    Generic fallback used for arbitrary record transforms; the codec file
-    flows go through :class:`repro.engine.ZSmilesEngine`, which batches
-    records instead of dispatching per line.
-    """
-    input_path = Path(input_path)
-    output_path = Path(output_path)
-    lines = 0
-    input_bytes = 0
-    output_bytes = 0
-    with open(input_path, "r", encoding=encoding, newline="") as src, open(
-        output_path, "w", encoding=encoding, newline="\n"
-    ) as dst:
-        for raw in src:
-            record = raw.rstrip("\r\n")
-            out = transform(record)
-            if "\n" in out or "\r" in out:
-                raise CodecError("transform produced a record containing a line terminator")
-            dst.write(out)
-            dst.write("\n")
-            lines += 1
-            input_bytes += len(record.encode(encoding)) + 1
-            output_bytes += len(out.encode(encoding)) + 1
-            if progress is not None and lines % 100_000 == 0:
-                progress(lines)
-    return FileStats(
-        input_path=input_path,
-        output_path=output_path,
-        lines=lines,
-        input_bytes=input_bytes,
-        output_bytes=output_bytes,
-    )
-
-
-def compress_file(
-    codec: ZSmilesCodec,
-    input_path: PathLike,
-    output_path: Optional[PathLike] = None,
-    progress: Optional[Callable[[int], None]] = None,
-) -> FileStats:
-    """Compress a ``.smi`` file into a ``.zsmi`` file, one record per line.
-
-    Deprecated shim: delegates to
-    :meth:`repro.engine.ZSmilesEngine.compress_file`, which also accepts a
-    backend selection.  Batches run through the flat-array kernel backend;
-    output stays byte-identical to the historical per-line implementation
-    (the kernel's parity contract).
-
-    Parameters
-    ----------
-    codec:
-        Trained codec (dictionary + preprocessing pipeline).
-    input_path:
-        Plain SMILES file, one record per line.
-    output_path:
-        Destination; defaults to the input path with the ``.zsmi`` suffix.
-    progress:
-        Optional callback invoked every 100 000 records with the line count.
-    """
-    from ..engine.engine import ZSmilesEngine
-
-    with ZSmilesEngine.from_codec(codec, backend="kernel") as engine:
-        return engine.compress_file(input_path, output_path, progress=progress)
-
-
-def decompress_file(
-    codec: ZSmilesCodec,
-    input_path: PathLike,
-    output_path: Optional[PathLike] = None,
-    progress: Optional[Callable[[int], None]] = None,
-) -> FileStats:
-    """Decompress a ``.zsmi`` file back into a ``.smi`` file.
-
-    Deprecated shim: delegates to
-    :meth:`repro.engine.ZSmilesEngine.decompress_file` (flat-array kernel
-    backend, byte-identical to the per-line path).
-    """
-    from ..engine.engine import ZSmilesEngine
-
-    with ZSmilesEngine.from_codec(codec, backend="kernel") as engine:
-        return engine.decompress_file(input_path, output_path, progress=progress)
-
-
-def verify_separability(path: PathLike, expected_lines: Optional[int] = None) -> bool:
-    """Check that a compressed file keeps one record per line.
-
-    Returns ``True`` when the file has no empty trailing garbage and, when
-    *expected_lines* is given, exactly that many records.  This is the
-    invariant that enables random access.
-    """
-    count = 0
-    for _ in read_lines(path):
-        count += 1
-    if expected_lines is not None:
-        return count == expected_lines
-    return count > 0

@@ -25,9 +25,9 @@ The engine has two in-process parse implementations with one invariant:
   readable oracle that defines correct bytes — including the deterministic
   tie-break the golden fixtures pin (see :mod:`repro.core.shortest_path`).
 
-Select the oracle with ``EngineConfig(parser="reference")`` (routes ``auto``
-batches and pool workers through it) or per call with
-``compress_batch(..., backend="serial")``.  Parity is enforced by
+Reach the oracle with ``backend="serial"``, in the configuration
+(``EngineConfig(backend="serial")``) or per call
+(``compress_batch(..., backend="serial")``).  Parity is enforced by
 ``tests/engine/test_kernel.py``, the golden fixtures and a hypothesis suite;
 ``benchmarks/test_throughput.py`` records the speedup in
 ``benchmarks/results/BENCH_codec.json``.
@@ -50,7 +50,6 @@ from .config import (
     AUTO_BACKEND,
     BACKEND_CHOICES,
     KERNEL_BACKEND,
-    PARSER_CHOICES,
     PROCESS_BACKEND,
     SERIAL_BACKEND,
     EngineConfig,
@@ -64,7 +63,6 @@ __all__ = [
     "AUTO_BACKEND",
     "BACKEND_CHOICES",
     "KERNEL_BACKEND",
-    "PARSER_CHOICES",
     "PROCESS_BACKEND",
     "SERIAL_BACKEND",
     "BackendStats",

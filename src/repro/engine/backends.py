@@ -10,13 +10,11 @@ Three backends operate on a :class:`~repro.core.codec.ZSmilesCodec`:
   byte for byte.
 * :class:`KernelBackend` — in-process flat-array batch kernel
   (:class:`~repro.engine.kernel.BlockKernel`); byte-identical to the serial
-  reference but several times faster, and the default single-process path
-  (``EngineConfig.parser``).
+  reference but several times faster, and the default single-process path.
 * :class:`ProcessPoolBackend` — data parallelism across CPU cores (the
   pure-Python analogue of the paper's CUDA grid); chunks the batch, ships each
   chunk to a worker process that holds a copy of the codec, and reassembles
-  results in order.  Workers run the block kernel too unless the engine is
-  configured for the reference parser.
+  results in order.  Workers run the block kernel too.
 
 Baseline compressors are adapted to the same protocol in
 :mod:`repro.engine.baselines`.  Backends register themselves by name so the
@@ -34,13 +32,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, ru
 from ..core.codec import CodecStats, ZSmilesCodec
 from ..core.compressor import record_bytes
 from ..errors import ParallelExecutionError
-from .config import (
-    EngineConfig,
-    KERNEL_BACKEND,
-    KERNEL_PARSER,
-    PROCESS_BACKEND,
-    SERIAL_BACKEND,
-)
+from .config import EngineConfig, KERNEL_BACKEND, PROCESS_BACKEND, SERIAL_BACKEND
 from .kernel import BlockKernel
 
 
@@ -114,42 +106,28 @@ class CompressionBackend(Protocol):
 # Worker-process plumbing (module level so the spawn context can pickle it).
 # The codec is sent once per worker through the pool initializer instead of
 # once per task: the trie is by far the largest object involved.  Each worker
-# compiles its own flat-array kernel from the codec at init time (unless the
-# engine asked for the reference parser), so chunk processing runs the same
-# allocation-free hot loop as the in-process kernel backend.
+# compiles its own flat-array kernel from the codec at init time, so chunk
+# processing runs the same allocation-free hot loop as the in-process kernel
+# backend.
 # --------------------------------------------------------------------------- #
-_WORKER_CODEC: Optional[ZSmilesCodec] = None
 _WORKER_KERNEL: Optional[BlockKernel] = None
 
 
-def _init_worker(codec: ZSmilesCodec, use_kernel: bool = True) -> None:
-    global _WORKER_CODEC, _WORKER_KERNEL
-    _WORKER_CODEC = codec
-    _WORKER_KERNEL = BlockKernel(codec) if use_kernel else None
+def _init_worker(codec: ZSmilesCodec) -> None:
+    global _WORKER_KERNEL
+    _WORKER_KERNEL = BlockKernel(codec)
 
 
 def _compress_chunk(chunk: List[str]) -> Tuple[List[str], int, int]:
     """Compress one chunk; returns (records, matches, escapes)."""
-    assert _WORKER_CODEC is not None, "worker initialized without a codec"
-    if _WORKER_KERNEL is not None:
-        return _WORKER_KERNEL.compress_block(chunk)
-    out: List[str] = []
-    matches = 0
-    escapes = 0
-    for line in chunk:
-        record = _WORKER_CODEC.compress_record(line)
-        out.append(record.compressed)
-        matches += record.matches
-        escapes += record.escapes
-    return out, matches, escapes
+    assert _WORKER_KERNEL is not None, "worker initialized without a codec"
+    return _WORKER_KERNEL.compress_block(chunk)
 
 
 def _decompress_chunk(chunk: List[str]) -> Tuple[List[str], int, int]:
     """Decompress one chunk; returns (records, 0, 0)."""
-    assert _WORKER_CODEC is not None, "worker initialized without a codec"
-    if _WORKER_KERNEL is not None:
-        return _WORKER_KERNEL.decompress_block(chunk), 0, 0
-    return [_WORKER_CODEC.decompress(line) for line in chunk], 0, 0
+    assert _WORKER_KERNEL is not None, "worker initialized without a codec"
+    return _WORKER_KERNEL.decompress_block(chunk), 0, 0
 
 
 def _batch_stats(
@@ -280,7 +258,6 @@ class ProcessPoolBackend:
         self.codec = codec
         self.workers = config.worker_count()
         self.chunk_size = config.chunk_size
-        self.use_kernel = config.parser == KERNEL_PARSER
         self._stats = BackendStats()
         self._pool: Optional[ProcessPoolExecutor] = None
 
@@ -305,7 +282,7 @@ class ProcessPoolBackend:
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("spawn"),
                 initializer=_init_worker,
-                initargs=(self.codec, self.use_kernel),
+                initargs=(self.codec,),
             )
         return self._pool
 

@@ -1,12 +1,11 @@
 """Consolidated engine configuration.
 
-Before the engine existed, the knobs of the compression surface were scattered
-over four call sites: :meth:`ZSmilesCodec.train` keyword arguments (dictionary
-parameters), :func:`make_pipeline` (preprocessing), :class:`Compressor`
-(parse strategy) and :class:`ParallelCodec` (worker pool shape).
-:class:`EngineConfig` collects all of them in one immutable dataclass so that
-one object fully describes how a :class:`~repro.engine.engine.ZSmilesEngine`
-trains, preprocesses, parses and executes batches.
+:class:`EngineConfig` collects every knob of the compression surface —
+dictionary parameters (Algorithm 1), preprocessing, parse strategy and the
+execution backend with its worker-pool shape — in one immutable dataclass, so
+that one object fully describes how a
+:class:`~repro.engine.engine.ZSmilesEngine` trains, preprocesses, parses and
+executes batches.
 """
 
 from __future__ import annotations
@@ -31,11 +30,6 @@ SERIAL_BACKEND = "serial"
 KERNEL_BACKEND = "kernel"
 #: Name of the process-pool backend.
 PROCESS_BACKEND = "process"
-
-#: Parser implementations selectable through :attr:`EngineConfig.parser`.
-KERNEL_PARSER = "kernel"
-REFERENCE_PARSER = "reference"
-PARSER_CHOICES: Tuple[str, ...] = (KERNEL_PARSER, REFERENCE_PARSER)
 
 
 class EngineConfigError(ReproError):
@@ -65,19 +59,13 @@ class EngineConfig:
         ``"innermost"`` (paper default) or ``"outermost"``.
     strategy:
         Optimal shortest-path parsing (paper) or greedy longest match.
-    parser:
-        In-process parse implementation: ``"kernel"`` (default — the
-        flat-array batch automaton of :mod:`repro.engine.kernel`) or
-        ``"reference"`` (the original per-line trie walk, kept as the
-        byte-parity oracle).  Both produce identical bytes; the choice only
-        affects speed and applies to the ``"auto"`` route and the
-        process-pool workers.  Selecting ``backend="serial"`` or
-        ``backend="kernel"`` explicitly overrides this knob.
     backend:
-        Execution backend name: ``"serial"``, ``"kernel"``, ``"process"``
-        or ``"auto"``.  ``"auto"`` runs batches of at least
+        Execution backend name: ``"serial"`` (the per-line reference
+        oracle), ``"kernel"`` (the flat-array batch automaton of
+        :mod:`repro.engine.kernel`), ``"process"`` (a pool whose workers run
+        the kernel) or ``"auto"``.  ``"auto"`` runs batches of at least
         *parallel_threshold* records on the process pool and everything
-        smaller in-process (through the configured *parser*).
+        smaller on the kernel.  All produce identical bytes.
     jobs:
         Worker processes for the process-pool backend (``None`` = CPU count).
     chunk_size:
@@ -100,7 +88,6 @@ class EngineConfig:
 
     # Parsing (Section IV-D1).
     strategy: ParseStrategy = ParseStrategy.OPTIMAL
-    parser: str = KERNEL_PARSER
 
     # Execution backend.
     backend: str = AUTO_BACKEND
@@ -114,10 +101,6 @@ class EngineConfig:
         if isinstance(self.prepopulation, str):
             object.__setattr__(
                 self, "prepopulation", PrePopulation.from_name(self.prepopulation)
-            )
-        if self.parser not in PARSER_CHOICES:
-            raise EngineConfigError(
-                f"parser must be one of {PARSER_CHOICES}, got {self.parser!r}"
             )
         if self.jobs is not None and self.jobs < 1:
             raise EngineConfigError("jobs must be >= 1")
@@ -157,13 +140,12 @@ class EngineConfig:
         *parallel_threshold* records) unless the pool would have a single
         worker (``jobs=1``, or no *jobs* on a one-CPU host), in which case
         spawning processes can never pay off.  Small batches run in-process
-        through the configured *parser*: the flat-array kernel by default,
-        the reference oracle on request.
+        on the flat-array kernel.
         """
         if self.backend != AUTO_BACKEND:
             return self.backend
         if batch_size < self.parallel_threshold or self.worker_count() == 1:
-            return KERNEL_BACKEND if self.parser == KERNEL_PARSER else SERIAL_BACKEND
+            return KERNEL_BACKEND
         return PROCESS_BACKEND
 
 

@@ -1,11 +1,10 @@
 """The :class:`ZSmilesEngine` facade — one batch-first compression surface.
 
-The engine unifies what used to be four disjoint entry points:
-
-* :class:`~repro.core.codec.ZSmilesCodec` (per-line calls),
-* :func:`~repro.core.streaming.compress_file` / ``decompress_file`` (files),
-* :class:`~repro.parallel.executor.ParallelCodec` (process-pool batches),
-* the baseline codecs (through :class:`~repro.engine.baselines.BaselineBackend`).
+Every batch, corpus and file operation on a
+:class:`~repro.core.codec.ZSmilesCodec` runs through the engine
+(:meth:`ZSmilesEngine.from_codec` wraps an existing codec); the codec itself
+keeps only single-record calls.  Baseline codecs plug into the same surface
+through :class:`~repro.engine.baselines.BaselineBackend`.
 
 One :class:`~repro.engine.config.EngineConfig` describes dictionary training,
 preprocessing, parsing and backend selection; every batch operation returns a
@@ -14,19 +13,19 @@ aggregate :class:`~repro.core.codec.CodecStats` and the wall time.  With
 ``backend="auto"`` (the default) small batches run in-process through the
 flat-array kernel (:mod:`repro.engine.kernel`) and large ones on the process
 pool (whose workers run the same kernel), so callers never hand-roll the
-dispatch decision.  ``EngineConfig(parser="reference")`` or
-``backend="serial"`` select the per-line reference oracle instead — byte
-parity between the two is the engine's core invariant (see
-:mod:`repro.engine` for the full kernel-vs-reference contract).
+dispatch decision.  ``backend="serial"`` selects the per-line reference
+oracle instead — byte parity between the two is the engine's core invariant
+(see :mod:`repro.engine` for the full kernel-vs-reference contract).
 """
 
 from __future__ import annotations
 
-import time
+import os
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..core.codec import CodecStats, ZSmilesCodec
+from ..core.streaming import FILE_ENCODING, SMI_SUFFIX, ZSMI_SUFFIX, FileStats
 from ..dictionary.codec_table import CodecTable
 from ..dictionary.generator import DictionaryGenerator, TrainingReport
 from ..dictionary import serialization
@@ -165,7 +164,7 @@ class ZSmilesEngine:
         """Preprocess and compress *records* (order preserved).
 
         The result's ``stats.original_bytes`` measures the raw input (before
-        preprocessing), matching :meth:`ZSmilesCodec.evaluate`.
+        preprocessing), one newline byte per record included.
         """
         records = list(records)
         return self.backend(backend, len(records)).compress_batch(records)
@@ -180,7 +179,7 @@ class ZSmilesEngine:
     def evaluate(self, corpus: Sequence[str], backend: Optional[str] = None) -> CodecStats:
         """Compress *corpus* and return the aggregate statistics.
 
-        Byte counts match :meth:`ZSmilesCodec.evaluate`: one newline byte per
+        Byte counts match the paper's file-level ratios: one newline byte per
         record on both sides, original side measured on the raw input.
         """
         return self.compress_batch(corpus, backend=backend).stats
@@ -217,14 +216,13 @@ class ZSmilesEngine:
     ):
         """Compress a ``.smi`` file into a ``.zsmi`` file, one record per line.
 
-        Returns the same :class:`~repro.core.streaming.FileStats` as the
-        legacy :func:`~repro.core.streaming.compress_file`, with byte-identical
-        output; records stream through the engine *batch_size* at a time, so
-        arbitrarily large libraries never need to fit in memory and the
-        process-pool backend can be exploited per batch.
+        The output defaults to the input path with the ``.zsmi`` suffix and
+        must not be the input file.  Records stream through the engine
+        *batch_size* at a time, so arbitrarily large libraries never need to
+        fit in memory and the process-pool backend can be exploited per
+        batch.  *progress* is called with the line count every 100 000
+        records.  Returns a :class:`~repro.core.streaming.FileStats`.
         """
-        from ..core.streaming import ZSMI_SUFFIX
-
         input_path = Path(input_path)
         if output_path is None:
             output_path = input_path.with_suffix(ZSMI_SUFFIX)
@@ -241,9 +239,7 @@ class ZSmilesEngine:
         batch_size: int = 8192,
         backend: Optional[str] = None,
     ):
-        """Decompress a ``.zsmi`` file back into a ``.smi`` file."""
-        from ..core.streaming import SMI_SUFFIX
-
+        """Decompress a ``.zsmi`` file back into a ``.smi`` file (see :meth:`compress_file`)."""
         input_path = Path(input_path)
         if output_path is None:
             output_path = input_path.with_suffix(SMI_SUFFIX)
@@ -261,11 +257,12 @@ class ZSmilesEngine:
         batch_size: int,
         backend: Optional[str],
     ):
-        from ..core.streaming import FILE_ENCODING, FileStats
-
         if batch_size < 1:
             raise CodecError("batch_size must be >= 1")
         output_path = Path(output_path)
+        # Opening the output truncates it, so it must not be the input.
+        if output_path.exists() and os.path.samefile(input_path, output_path):
+            raise CodecError(f"output {output_path} is the input file")
         lines = 0
         input_bytes = 0
         output_bytes = 0

@@ -67,8 +67,8 @@ Selection
 ---------
 :class:`BlockKernel` wraps one :class:`~repro.core.codec.ZSmilesCodec` and is
 what the execution layers use: the ``"kernel"`` engine backend (the default
-in-process path — ``EngineConfig(parser="reference")`` restores the oracle),
-process-pool workers, and the ``.zss`` reader's record decode.
+in-process path — ``backend="serial"`` reaches the oracle), process-pool
+workers, and the ``.zss`` reader's record decode.
 """
 
 from __future__ import annotations

@@ -1,6 +1,11 @@
-"""Parallel backends: real process-pool execution and the simulated CUDA device."""
+"""The simulated CUDA device that reproduces Figure 5.
 
-from .executor import ParallelCodec, ParallelStats, default_worker_count
+Real process-pool execution is the engine's ``process`` backend
+(:class:`repro.engine.ProcessPoolBackend`); :func:`default_worker_count` is
+re-exported from :mod:`repro.engine.config` for its pool size.
+"""
+
+from ..engine.config import default_worker_count
 from .gpu_model import (
     CPU_PROFILE,
     GPU_PROFILE,
@@ -13,8 +18,6 @@ from .kernels import compression_kernel, decompression_kernel
 from .performance_model import PerformancePoint, PerformanceSweep, run_performance_sweep
 
 __all__ = [
-    "ParallelCodec",
-    "ParallelStats",
     "default_worker_count",
     "CPU_PROFILE",
     "GPU_PROFILE",

@@ -17,6 +17,7 @@ twice.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, List, Optional, Sequence, Union
@@ -331,7 +332,7 @@ def pack_file(
 
     Mirrors :meth:`ZSmilesEngine.compress_file`: records are the
     terminator-stripped lines of *input_path*; the default output path swaps
-    the suffix for ``.zss``.
+    the suffix for ``.zss``, and the output must not be the input file.
     """
     if engine is None:
         raise StoreError("pack_file needs an engine to compress records")
@@ -340,6 +341,8 @@ def pack_file(
     input_path = Path(input_path)
     if output_path is None:
         output_path = input_path.with_suffix(STORE_SUFFIX)
+    if os.path.exists(output_path) and os.path.samefile(input_path, output_path):
+        raise StoreError(f"output {output_path} is the input file")
     return pack_records(
         output_path,
         read_lines(input_path),

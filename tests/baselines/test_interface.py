@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.bzip2_codec import bzip2_over_lines
 from repro.baselines.interface import BaselineCodec, CodecProperties
 from repro.baselines.zsmiles_adapter import ZSmilesBaseline
+from repro.engine import ZSmilesEngine
 
 
 class _UpperCodec(BaselineCodec):
@@ -61,13 +63,21 @@ class TestZSmilesAdapter:
     def test_ratio_matches_underlying_codec(self, mixed_corpus_small):
         corpus = mixed_corpus_small[:150]
         baseline = ZSmilesBaseline().fit(corpus)
-        direct = baseline.codec.compression_ratio(corpus)
+        direct = ZSmilesEngine.from_codec(baseline.codec).compression_ratio(corpus)
         assert baseline.compression_ratio(corpus) == pytest.approx(direct, abs=1e-9)
 
     def test_zsmiles_plus_bzip2_improves_ratio(self, mixed_corpus_small):
         corpus = mixed_corpus_small[:200]
         baseline = ZSmilesBaseline().fit(corpus)
         assert baseline.zsmiles_plus_bzip2_ratio(corpus) < baseline.compression_ratio(corpus)
+
+    def test_zsmiles_plus_bzip2_ratio_is_the_per_line_formula(self, mixed_corpus_small):
+        corpus = mixed_corpus_small[:200]
+        baseline = ZSmilesBaseline().fit(corpus)
+        lines = [baseline.codec.compress(record) for record in corpus]
+        zsmiles_ratio = sum(len(line) + 1 for line in lines) / sum(len(r) + 1 for r in corpus)
+        expected = zsmiles_ratio * bzip2_over_lines(lines)
+        assert baseline.zsmiles_plus_bzip2_ratio(corpus) == expected
 
     def test_properties_flags(self):
         props = ZSmilesBaseline.properties

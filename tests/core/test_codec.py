@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.codec import ZSmilesCodec
 from repro.core.compressor import ParseStrategy
 from repro.dictionary.prepopulation import PrePopulation
+from repro.engine import ZSmilesEngine
 from repro.smiles.validate import is_valid
 
 
@@ -50,8 +51,9 @@ class TestRoundTrip:
 
     def test_compress_many_preserves_order(self, trained_codec, gdb_corpus):
         batch = gdb_corpus[:30]
-        compressed = trained_codec.compress_many(batch)
-        restored = trained_codec.decompress_many(compressed)
+        engine = ZSmilesEngine.from_codec(trained_codec)
+        compressed = engine.compress_batch(batch).records
+        restored = engine.decompress_batch(compressed).records
         assert restored == [trained_codec.preprocess(s) for s in batch]
 
     def test_compressed_output_is_single_line(self, trained_codec, mediate_corpus):
@@ -67,8 +69,10 @@ class TestRoundTrip:
 
 
 class TestEvaluation:
+    """Corpus statistics of a codec, taken through the engine."""
+
     def test_evaluate_statistics(self, trained_codec, mixed_corpus_small):
-        stats = trained_codec.evaluate(mixed_corpus_small[:100])
+        stats = ZSmilesEngine.from_codec(trained_codec).evaluate(mixed_corpus_small[:100])
         assert stats.lines == 100
         assert 0 < stats.compressed_bytes < stats.original_bytes
         assert 0 < stats.ratio < 1
@@ -77,15 +81,17 @@ class TestEvaluation:
 
     def test_compression_ratio_in_paper_ballpark(self, trained_codec, mixed_corpus_small):
         """The MIXED self-compression ratio should land in the paper's regime (< 0.5)."""
-        ratio = trained_codec.compression_ratio(mixed_corpus_small[:150])
+        ratio = ZSmilesEngine.from_codec(trained_codec).compression_ratio(mixed_corpus_small[:150])
         assert 0.2 < ratio < 0.5
 
     def test_preprocessing_improves_ratio(self, trained_codec, plain_codec, mixed_corpus_small):
         corpus = mixed_corpus_small[:150]
-        assert trained_codec.compression_ratio(corpus) <= plain_codec.compression_ratio(corpus)
+        trained = ZSmilesEngine.from_codec(trained_codec)
+        plain = ZSmilesEngine.from_codec(plain_codec)
+        assert trained.compression_ratio(corpus) <= plain.compression_ratio(corpus)
 
     def test_evaluate_empty_corpus(self, trained_codec):
-        stats = trained_codec.evaluate([])
+        stats = ZSmilesEngine.from_codec(trained_codec).evaluate([])
         assert stats.ratio == 1.0
         assert stats.escape_fraction == 0.0
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.random_access import INDEX_SUFFIX, LineIndex, RandomAccessReader
-from repro.core.streaming import compress_file, write_lines
+from repro.core.streaming import write_lines
+from repro.engine import ZSmilesEngine
 from repro.errors import RandomAccessError
 
 
@@ -15,7 +16,7 @@ def compressed_library(tmp_path, trained_codec, mixed_corpus_small):
     zsmi = tmp_path / "library.zsmi"
     corpus = mixed_corpus_small[:100]
     write_lines(smi, corpus)
-    compress_file(trained_codec, smi, zsmi)
+    ZSmilesEngine.from_codec(trained_codec).compress_file(smi, zsmi)
     return zsmi, corpus
 
 

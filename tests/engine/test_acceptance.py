@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.codec import ZSmilesCodec
 from repro.core.streaming import read_lines
+from repro.engine import ZSmilesEngine
 from repro.experiments.common import ExperimentScale, component_corpora
 from repro.experiments.table2 import DATASET_ORDER, run_table2
 from repro.screening.pipeline import ScreeningCampaign
@@ -26,13 +27,16 @@ class TestTable2ThroughEngine:
     def test_matrix_matches_direct_codec_path(self, tiny_scale):
         result = run_table2(scale=tiny_scale, lmax=6)
         corpora = component_corpora(tiny_scale)
-        codecs = {
-            name: ZSmilesCodec.train(corpora[name], preprocessing=True, lmax=6)
+        oracles = {
+            name: ZSmilesEngine.from_codec(
+                ZSmilesCodec.train(corpora[name], preprocessing=True, lmax=6),
+                backend="serial",
+            )
             for name in DATASET_ORDER
         }
         for train in DATASET_ORDER:
             for test in DATASET_ORDER:
-                direct = codecs[train].compression_ratio(corpora[test])
+                direct = oracles[train].compression_ratio(corpora[test])
                 assert result.ratios[(train, test)] == pytest.approx(direct, abs=0.0)
 
 

@@ -89,9 +89,6 @@ class TestBackendResolution:
         config = EngineConfig(parallel_threshold=100)
         assert config.worker_count() == 1
         assert config.resolved_backend(10**6) == KERNEL_BACKEND
-        assert EngineConfig(parallel_threshold=100, parser="reference").resolved_backend(
-            10**6
-        ) == SERIAL_BACKEND
         # Explicit jobs still decide, whatever the host.
         assert EngineConfig(parallel_threshold=100, jobs=2).resolved_backend(100) == PROCESS_BACKEND
 
@@ -104,13 +101,3 @@ class TestBackendResolution:
                 config = EngineConfig(jobs=jobs)
                 assert ProcessPoolBackend(None, config).workers == config.worker_count()
                 assert config.worker_count() == (jobs or count)
-
-    def test_reference_parser_routes_auto_to_serial(self, cpus):
-        cpus(2)
-        config = EngineConfig(parallel_threshold=100, parser="reference")
-        assert config.resolved_backend(99) == SERIAL_BACKEND
-        assert config.resolved_backend(100) == PROCESS_BACKEND
-
-    def test_invalid_parser_rejected(self):
-        with pytest.raises(EngineConfigError, match="parser"):
-            EngineConfig(parser="c++")

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ZSmilesCodec
 from repro.core.streaming import read_lines, write_lines
 from repro.engine import EngineConfig, ZSmilesEngine
+from repro.errors import CodecError
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ class TestByteIdenticalToSeedPath:
 
     def test_evaluate_matches_seed_accounting(self, engine, mixed_corpus_small):
         stats = engine.evaluate(mixed_corpus_small)
-        # Reproduce the seed ZSmilesCodec.evaluate accounting by hand.
+        # Reproduce the seed per-line accounting by hand.
         original = sum(len(s) + 1 for s in mixed_corpus_small)
         compressed = sum(
             len(engine.codec.compress(s)) + 1 for s in mixed_corpus_small
@@ -102,13 +102,6 @@ class TestAutoBackendSelection:
         result = engine.compress_batch(mixed_corpus_small[:10])
         assert result.backend == "kernel"
 
-    def test_reference_parser_routes_small_batches_to_serial(self, mixed_corpus_small):
-        engine = ZSmilesEngine.train(
-            mixed_corpus_small, lmax=6, parallel_threshold=10_000, parser="reference"
-        )
-        result = engine.compress_batch(mixed_corpus_small[:10])
-        assert result.backend == "serial"
-
     def test_large_batch_routes_to_process_pool(self, mixed_corpus_small):
         engine = ZSmilesEngine.train(
             mixed_corpus_small,
@@ -138,16 +131,39 @@ class TestAutoBackendSelection:
         assert engine.compress_batch(mixed_corpus_small[:4]).records
 
 
-class TestLegacyShimsDelegate:
-    def test_codec_compress_many_equals_engine_batch(self, engine, mixed_corpus_small):
-        codec = engine.codec
-        assert codec.compress_many(mixed_corpus_small[:20]) == (
-            engine.compress_batch(mixed_corpus_small[:20]).records
-        )
+class TestOutputIsNotInput:
+    """A file flow refuses an output that names its input (opening it would truncate it)."""
 
-    def test_codec_evaluate_equals_engine_evaluate(self, engine, mixed_corpus_small):
-        a = engine.codec.evaluate(mixed_corpus_small[:30])
-        b = engine.evaluate(mixed_corpus_small[:30])
-        assert (a.lines, a.original_bytes, a.compressed_bytes, a.matches, a.escapes) == (
-            b.lines, b.original_bytes, b.compressed_bytes, b.matches, b.escapes
-        )
+    @pytest.fixture()
+    def plain_engine(self, mixed_corpus_small):
+        return ZSmilesEngine.train(mixed_corpus_small, preprocessing=False, lmax=6)
+
+    def test_compress_refuses_default_output_of_a_zsmi_input(
+        self, plain_engine, mixed_corpus_small, tmp_path
+    ):
+        path = tmp_path / "again.zsmi"
+        write_lines(path, mixed_corpus_small[:50])
+        before = path.read_bytes()
+        with pytest.raises(CodecError, match="again.zsmi"):
+            plain_engine.compress_file(path)
+        assert path.read_bytes() == before
+
+    def test_decompress_refuses_default_output_of_a_smi_input(
+        self, plain_engine, mixed_corpus_small, tmp_path
+    ):
+        path = tmp_path / "plain.smi"
+        write_lines(path, plain_engine.compress_batch(mixed_corpus_small[:50]).records)
+        before = path.read_bytes()
+        with pytest.raises(CodecError, match="plain.smi"):
+            plain_engine.decompress_file(path)
+        assert path.read_bytes() == before
+
+    def test_compress_refuses_explicit_output_equal_to_input(
+        self, plain_engine, mixed_corpus_small, tmp_path
+    ):
+        path = tmp_path / "library.smi"
+        write_lines(path, mixed_corpus_small[:50])
+        before = path.read_bytes()
+        with pytest.raises(CodecError, match="library.smi"):
+            plain_engine.compress_file(path, tmp_path / "." / "library.smi")
+        assert path.read_bytes() == before

@@ -88,3 +88,12 @@ class TestEmptyBatch:
         result = backend.compress_batch([])
         assert result.records == []
         assert backend._pool is None  # no processes were spawned
+
+
+class TestWorkerPayload:
+    def test_codec_is_picklable(self, trained_codec):
+        """The spawn-based pool requires the codec (pipeline included) to pickle."""
+        import pickle
+
+        clone = pickle.loads(pickle.dumps(trained_codec))
+        assert clone.compress("COc1cc(C=O)ccc1O") == trained_codec.compress("COc1cc(C=O)ccc1O")

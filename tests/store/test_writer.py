@@ -157,3 +157,15 @@ class TestPackFile:
     def test_pack_file_requires_engine(self, tmp_path):
         with pytest.raises(StoreError, match="engine"):
             pack_file(tmp_path / "lib.smi")
+
+    def test_pack_file_refuses_output_equal_to_input(
+        self, plain_engine, mixed_corpus_small, tmp_path
+    ):
+        from repro.core.streaming import write_lines
+
+        smi = tmp_path / "lib.smi"
+        write_lines(smi, mixed_corpus_small[:50])
+        before = smi.read_bytes()
+        with pytest.raises(StoreError, match="lib.smi"):
+            pack_file(smi, smi, engine=plain_engine)
+        assert smi.read_bytes() == before
