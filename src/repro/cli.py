@@ -817,7 +817,6 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .server.app import run_server
-    from .server.fleet import run_fleet
 
     if args.readers < 1:
         print("error: --readers must be >= 1", file=sys.stderr)
@@ -832,20 +831,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
     codec = _load_engine(args.dictionary).codec if args.dictionary else None
-    if args.workers > 1:
-        return run_fleet(
-            args.input,
-            workers=args.workers,
-            codec=codec,
-            host=args.host,
-            port=args.port,
-            readers=args.readers,
-            cache_blocks=args.cache_blocks,
-            use_mmap=args.mmap,
-            access_log=args.access_log,
-        )
     return run_server(
         args.input,
+        workers=args.workers,
         codec=codec,
         host=args.host,
         port=args.port,

@@ -40,7 +40,13 @@ from typing import AsyncIterator, Callable, List, Optional, Sequence, TypeVar, U
 
 from ..core.codec import ZSmilesCodec
 from ..errors import LibraryError
-from ..store.reader import DEFAULT_CACHE_BLOCKS, BlockCache, checked_range, split_range
+from ..store.reader import (
+    DEFAULT_CACHE_BLOCKS,
+    BlockCache,
+    checked_range,
+    quarantine_rollup,
+    split_range,
+)
 from .facade import CorpusLibrary
 
 PathLike = Union[str, Path]
@@ -139,22 +145,11 @@ class AsyncCorpusLibrary:
         handles), so the pool aggregate sums every reader's counters and
         unions the per-shard damaged-block lists.
         """
-        quarantined_union: dict = {}
-        hits = 0
-        for reader in self._readers:
-            stats = reader.quarantine_stats()
-            hits += stats["quarantine_hits"]
-            for name, blocks in stats["shards"].items():
-                merged = quarantined_union.setdefault(name, set())
-                merged.update(blocks)
-        shards = {name: sorted(blocks) for name, blocks in quarantined_union.items()}
-        quarantined = sum(len(blocks) for blocks in shards.values())
-        return {
-            "quarantined_blocks": quarantined,
-            "total_blocks_quarantined": quarantined,
-            "quarantine_hits": hits,
-            "shards": shards,
-        }
+        stats = [reader.quarantine_stats() for reader in self._readers]
+        return quarantine_rollup(
+            (shard for s in stats for shard in s["shards"].items()),
+            sum(s["quarantine_hits"] for s in stats),
+        )
 
     def _check_open(self) -> None:
         if self._closed:

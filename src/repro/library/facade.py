@@ -28,9 +28,8 @@ class CorpusLibrary:
     """Serve records out of a packed corpus, whatever shape it was packed in.
 
     Construct through :meth:`open`; the instance delegates the whole
-    :class:`~repro.store.protocol.RecordReader` surface (plus ``get_raw`` and
-    the ``line``/``lines`` aliases) to its underlying
-    :class:`~repro.library.sharded.ShardedCorpusStore`.
+    :class:`~repro.store.protocol.RecordReader` surface (plus ``get_raw``)
+    to its underlying :class:`~repro.library.sharded.ShardedCorpusStore`.
     """
 
     def __init__(self, store: ShardedCorpusStore, path: Path):
@@ -172,11 +171,3 @@ class CorpusLibrary:
         campaign driver can sample through either transport identically.
         """
         return self.store.sample(n, seed)
-
-    def line(self, index: int) -> str:
-        """Alias of :meth:`get`."""
-        return self.store.get(index)
-
-    def lines(self, indices: Sequence[int]) -> List[str]:
-        """Alias of :meth:`get_many`."""
-        return self.store.get_many(indices)

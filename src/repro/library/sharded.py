@@ -30,6 +30,7 @@ from ..store.reader import (
     RecordAccessMixin,
     ShardReader,
     checked_range,
+    quarantine_rollup,
     split_range,
 )
 from .manifest import LibraryManifest, resolve_manifest_path
@@ -193,23 +194,15 @@ class ShardedCorpusStore(RecordAccessMixin):
         block keeps serving.  Unopened shards contribute nothing — they
         have not been read, so nothing can be quarantined yet.
         """
-        quarantined = 0
-        hits = 0
-        shards: dict = {}
-        for shard_no, reader in enumerate(self._readers):
-            if reader is None:
-                continue
-            stats = reader.quarantine_stats()
-            quarantined += stats["quarantined_blocks"]
-            hits += stats["quarantine_hits"]
-            if stats["blocks"]:
-                shards[self.manifest.shards[shard_no].name] = stats["blocks"]
-        return {
-            "quarantined_blocks": quarantined,
-            "total_blocks_quarantined": quarantined,
-            "quarantine_hits": hits,
-            "shards": shards,
-        }
+        stats = [
+            (entry.name, reader.quarantine_stats())
+            for entry, reader in zip(self.manifest.shards, self._readers)
+            if reader is not None
+        ]
+        return quarantine_rollup(
+            ((name, s["blocks"]) for name, s in stats),
+            sum(s["quarantine_hits"] for _, s in stats),
+        )
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -30,15 +30,19 @@ place, a sans-IO core, under thin I/O drivers:
   (:mod:`repro.server.async_client`) — the asyncio-streams driver of the
   same core, for event-loop consumers; it behaves exactly as the blocking
   clients do.
-* :class:`BackgroundServer` / :func:`run_server` — the thread-hosted and
-  foreground (``zsmiles serve``) lifecycles, both with graceful, draining
-  shutdown.
-* :class:`ServerFleet` / :func:`run_fleet` (:mod:`repro.server.fleet`) —
-  multi-process scale-out: ``zsmiles serve --workers N`` pre-forks N
-  worker processes over the same library behind one URL, via
-  ``SO_REUSEPORT`` kernel load-balancing where available and a parent
+* :func:`~repro.server.app.serve` — the one serve lifecycle (open the
+  library and access log, bind, report ready, serve until stopped, drain
+  in-flight requests), which every host below runs.
+* :class:`BackgroundServer` — a server on its own thread and event loop,
+  next to blocking code (tests, benchmarks, the quickstart).
+* :class:`ServerFleet` (:mod:`repro.server.fleet`) — multi-process
+  scale-out: N worker processes over the same library behind one URL,
+  via ``SO_REUSEPORT`` kernel load-balancing where available and a parent
   round-robin TCP proxy everywhere else.  A SIGKILLed worker drops out of
   rotation; survivors keep serving.
+* :func:`run_server` — the foreground entry point (``zsmiles serve``): a
+  :class:`BackgroundServer` for one worker, a :class:`ServerFleet` for
+  ``--workers N``, until SIGINT/SIGTERM.
 * :class:`RetryPolicy` (:mod:`repro.server.retry`) — the one retry
   discipline every client and the campaign driver share: attempts,
   exponential backoff with jitter, optional total deadline.  Pass it as
@@ -91,7 +95,7 @@ from .app import (
 )
 from .async_client import AsyncCorpusClient, AsyncFailoverCorpusClient
 from .client import DEFAULT_TIMEOUT, CorpusClient, FailoverCorpusClient
-from .fleet import ServerFleet, run_fleet
+from .fleet import ServerFleet
 from .protocol import PROTOCOL_VERSION, is_retryable, is_url, split_replica_urls
 from .retry import RetryPolicy, RetryState
 
@@ -113,7 +117,6 @@ __all__ = [
     "is_retryable",
     "is_url",
     "merge_stats_payloads",
-    "run_fleet",
     "run_server",
     "split_replica_urls",
 ]

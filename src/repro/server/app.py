@@ -27,26 +27,31 @@ Connections are keep-alive by default; every error is the JSON envelope of
 listener closes first, in-flight requests run to completion (bounded by a
 grace period), then idle keep-alive connections are torn down.
 
-:class:`BackgroundServer` wraps the whole lifecycle in a thread with its own
-event loop — the harness the tests, the latency benchmark and the quickstart
-all use to stand a server up next to blocking client code.
+:func:`serve` is the one serve lifecycle — open the library and the access
+log, bind, report ready, serve until stopped, drain — and every host runs
+it: :class:`BackgroundServer` on a thread with its own event loop (what the
+tests, the latency benchmark and the quickstart stand up next to blocking
+client code), each :class:`~repro.server.fleet.ServerFleet` worker on its
+process's main thread, and :func:`run_server` (``zsmiles serve``) through
+one of those two.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import signal
 import threading
 import time
 import urllib.parse
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Union
 
 from ..core.codec import ZSmilesCodec
 from ..errors import ProtocolError, ReproError, ServerError
 from ..library import DEFAULT_POOL_SIZE, DEFAULT_STREAM_BATCH, AsyncCorpusLibrary
-from ..store.reader import DEFAULT_CACHE_BLOCKS
+from ..store.reader import DEFAULT_CACHE_BLOCKS, quarantine_rollup
 from ..telemetry import metrics as _metrics
 from ..telemetry import tracing as _tracing
 from ..telemetry.logs import AccessLogger, open_access_log
@@ -231,10 +236,6 @@ class CorpusServer:
     def url(self) -> str:
         """The server's base URL (valid once :meth:`start` returned)."""
         return f"http://{self.host}:{self.port}"
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
 
     async def shutdown(self, grace: float = DEFAULT_GRACE) -> None:
         """Stop accepting, drain in-flight requests, then drop idle connections.
@@ -726,20 +727,11 @@ def merge_stats_payloads(
     lookups = int(cache.get("hits", 0)) + int(cache.get("misses", 0))
     cache["hit_rate"] = round(int(cache.get("hits", 0)) / lookups, 6) if lookups else 0.0
     merged["cache"] = cache
-    shards: Dict[str, set] = {}
-    quarantine_hits = 0
-    for payload in payloads:
-        quarantine = payload.get("quarantine", {})
-        quarantine_hits += int(quarantine.get("quarantine_hits", 0))  # type: ignore[union-attr]
-        for name, blocks in quarantine.get("shards", {}).items():  # type: ignore[union-attr]
-            shards.setdefault(str(name), set()).update(blocks)
-    quarantined = sum(len(blocks) for blocks in shards.values())
-    merged["quarantine"] = {
-        "quarantined_blocks": quarantined,
-        "total_blocks_quarantined": quarantined,
-        "quarantine_hits": quarantine_hits,
-        "shards": {name: sorted(blocks) for name, blocks in sorted(shards.items())},
-    }
+    quarantines: List[dict] = [payload.get("quarantine", {}) for payload in payloads]  # type: ignore[misc]
+    merged["quarantine"] = quarantine_rollup(
+        ((str(name), blocks) for q in quarantines for name, blocks in q.get("shards", {}).items()),
+        sum(int(q.get("quarantine_hits", 0)) for q in quarantines),
+    )
     merged["pool_size"] = sum(int(p.get("pool_size", 0)) for p in payloads)
     merged["uptime_seconds"] = max(
         float(p.get("uptime_seconds", 0.0)) for p in payloads
@@ -750,14 +742,67 @@ def merge_stats_payloads(
 
 
 # --------------------------------------------------------------------------- #
-# Blocking entry points
+# The serve lifecycle and its hosts
 # --------------------------------------------------------------------------- #
+async def serve(
+    source: PathLike,
+    started: Callable[[CorpusServer], Awaitable[None]],
+    stop: asyncio.Event,
+    *,
+    codec: Optional[ZSmilesCodec] = None,
+    host: str = DEFAULT_HOST,
+    port: int = 0,
+    readers: int = DEFAULT_POOL_SIZE,
+    cache_blocks: int = DEFAULT_CACHE_BLOCKS,
+    use_mmap: bool = False,
+    stream_batch: int = DEFAULT_STREAM_BATCH,
+    access_log: Optional[PathLike] = None,
+    reuse_port: bool = False,
+    worker_id: Optional[int] = None,
+) -> None:
+    """Serve *source* from start-up to drain: the one serve lifecycle.
+
+    Opens the :class:`AsyncCorpusLibrary` and the access log, binds a
+    :class:`CorpusServer`, awaits ``started(server)``, serves until *stop*
+    is set, then drains in-flight requests.  A *worker_id* marks a fleet
+    worker: its server also binds the admin listener, and its access-log
+    lines carry the id.  Everything opened here is closed on every path,
+    so a start-up failure propagates with nothing left open.
+    """
+    library = AsyncCorpusLibrary.open(
+        source, codec=codec, pool_size=readers, cache_blocks=cache_blocks, use_mmap=use_mmap
+    )
+    log = None
+    try:
+        log = open_access_log(access_log, worker_id=worker_id)
+        server = CorpusServer(
+            library,
+            host,
+            port,
+            stream_batch=stream_batch,
+            reuse_port=reuse_port,
+            access_log=log,
+            worker_id=worker_id,
+        )
+        try:
+            await server.start()
+            if worker_id is not None:
+                await server.start_admin()
+            await started(server)
+            await stop.wait()
+        finally:
+            await server.shutdown()
+    finally:
+        library.close()
+        if log is not None:
+            log.close()
+
+
 class BackgroundServer:
-    """A :class:`CorpusServer` on its own thread + event loop.
+    """:func:`serve` on its own thread + event loop.
 
     The bridge between the async server and blocking consumers: tests, the
-    latency benchmark, the quickstart, and ``cli serve``'s signal-driven
-    foreground loop all run the same lifecycle.
+    latency benchmark, the quickstart and single-worker ``zsmiles serve``.
 
     Use as a context manager::
 
@@ -779,14 +824,16 @@ class BackgroundServer:
         access_log: Optional[PathLike] = None,
     ):
         self._source = source
-        self._codec = codec
-        self._host = host
-        self._port = port
-        self._readers = readers
-        self._cache_blocks = cache_blocks
-        self._use_mmap = use_mmap
-        self._stream_batch = stream_batch
-        self._access_log = access_log
+        self._options = dict(
+            codec=codec,
+            host=host,
+            port=port,
+            readers=readers,
+            cache_blocks=cache_blocks,
+            use_mmap=use_mmap,
+            stream_batch=stream_batch,
+            access_log=access_log,
+        )
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -797,42 +844,22 @@ class BackgroundServer:
 
     # -- thread body ---------------------------------------------------- #
     async def _main(self) -> None:
-        try:
-            library = AsyncCorpusLibrary.open(
-                self._source,
-                codec=self._codec,
-                pool_size=self._readers,
-                cache_blocks=self._cache_blocks,
-                use_mmap=self._use_mmap,
-            )
-        except BaseException as exc:  # startup failures surface in start()
-            self._startup_error = exc
-            self._ready.set()
-            return
-        access_log = open_access_log(self._access_log)
-        try:
-            server = CorpusServer(
-                library,
-                self._host,
-                self._port,
-                stream_batch=self._stream_batch,
-                access_log=access_log,
-            )
-            await server.start()
+        stop = asyncio.Event()
+
+        async def started(server: CorpusServer) -> None:
             self.server = server
-            self._loop = asyncio.get_running_loop()
-            self._stop_event = asyncio.Event()
+            self._loop, self._stop_event = asyncio.get_running_loop(), stop
             self._ready.set()
-            await self._stop_event.wait()
-            await server.shutdown()
+
+        try:
+            await serve(self._source, started, stop, **self._options)
         except BaseException as exc:
+            if self._ready.is_set():
+                raise
+            # Whatever ends the thread before it is ready must release
+            # start(), which re-raises it as a ServerError.
             self._startup_error = exc
             self._ready.set()
-            raise
-        finally:
-            library.close()
-            if access_log is not None:
-                access_log.close()
 
     # -- public surface -------------------------------------------------- #
     def start(self) -> "BackgroundServer":
@@ -897,6 +924,7 @@ class BackgroundServer:
 
 def run_server(
     source: PathLike,
+    workers: int = 1,
     codec: Optional[ZSmilesCodec] = None,
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
@@ -905,49 +933,51 @@ def run_server(
     use_mmap: bool = False,
     access_log: Optional[str] = None,
 ) -> int:
-    """Serve *source* in the foreground until SIGINT/SIGTERM (``cli serve``).
+    """Serve *source* in the foreground until SIGINT/SIGTERM (``zsmiles serve``).
 
-    Prints the bound URL once serving (flushed, machine-readable first line:
-    ``serving <records> records at <url> ...``) and shuts down gracefully —
-    in-flight requests drain before the process exits.
+    One worker runs in a :class:`BackgroundServer`, more in a
+    :class:`~repro.server.fleet.ServerFleet` behind one URL.  Prints the
+    bound URL once serving (flushed, machine-readable first line:
+    ``serving <records> records at <url> (...)``, with ``workers=N,
+    mode=...`` for a fleet), then on a signal drains in-flight requests and
+    returns 0.
     """
-    import signal
+    from .fleet import ServerFleet  # the fleet module imports this one
 
-    async def _main() -> None:
-        library = AsyncCorpusLibrary.open(
-            source,
-            codec=codec,
-            pool_size=readers,
-            cache_blocks=cache_blocks,
-            use_mmap=use_mmap,
-        )
-        log = open_access_log(access_log)
+    options = dict(
+        codec=codec,
+        host=host,
+        port=port,
+        readers=readers,
+        cache_blocks=cache_blocks,
+        use_mmap=use_mmap,
+        access_log=access_log,
+    )
+    stop = threading.Event()
+    previous = {}
+    for signum in (signal.SIGINT, signal.SIGTERM):
         try:
-            server = CorpusServer(library, host, port, access_log=log)
-            await server.start()
+            previous[signum] = signal.signal(signum, lambda *_: stop.set())
+        except (ValueError, OSError):  # pragma: no cover — exotic hosts
+            pass
+    try:
+        if workers == 1:
+            server = BackgroundServer(source, **options).start()
+            records, shape = len(server.server.library), ""
+        else:
+            server = ServerFleet(source, workers=workers, **options).start()
+            records, shape = server.records, f"workers={workers}, mode={server.mode}, "
+        try:
             print(
-                f"serving {len(library)} records at {server.url} "
-                f"(pool={readers}, cache_blocks={cache_blocks}"
-                f"{', mmap' if use_mmap else ''}) — Ctrl-C to stop",
+                f"serving {records} records at {server.url} ({shape}pool={readers}, "
+                f"cache_blocks={cache_blocks}{', mmap' if use_mmap else ''}) — Ctrl-C to stop",
                 flush=True,
             )
-            stop = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(signum, stop.set)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass  # platforms without signal handler support
-            await stop.wait()
+            stop.wait()
             print("shutting down (draining in-flight requests)...", flush=True)
-            await server.shutdown()
         finally:
-            library.close()
-            if log is not None:
-                log.close()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:  # pragma: no cover — signal handler races
-        pass
+            server.stop()
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     return 0

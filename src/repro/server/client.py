@@ -8,11 +8,11 @@ and failover decision, the same code the asyncio twin
 (:mod:`repro.server.async_client`) runs.
 
 :class:`CorpusClient` mirrors the :class:`~repro.store.protocol.RecordReader`
-surface — ``len()``, ``get``, ``get_many``, ``slice``, ``iter_all``, the
-``line``/``lines`` aliases and context management — so every consumer (the
-screening pipeline, ``datasets.io``, the CLI) reads from a URL exactly the
-way it reads from a file; :func:`repro.store.open_reader` dispatches
-``http://`` / ``https://`` sources here.
+surface — ``len()``, ``get``, ``get_many``, ``slice``, ``iter_all`` and
+context management — so every consumer (the screening pipeline,
+``datasets.io``, the CLI) reads from a URL exactly the way it reads from a
+file; :func:`repro.store.open_reader` dispatches ``http://`` /
+``https://`` sources here.
 
 Errors are typed end to end: the server's JSON envelope becomes the
 originating :mod:`repro.errors` class (an out-of-range index raises
@@ -128,15 +128,6 @@ class _Endpoints:
     def iter_all(self) -> Iterator[str]:
         """Stream every record in order."""
         return self.iter_range(0, None)
-
-    # Compatibility aliases with RandomAccessReader's historical names.
-    def line(self, index: int) -> str:
-        """Alias of :meth:`get`."""
-        return self.get(index)
-
-    def lines(self, indices: Sequence[int]) -> List[str]:
-        """Alias of :meth:`get_many`."""
-        return self.get_many(indices)
 
     def __enter__(self):
         return self

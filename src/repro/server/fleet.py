@@ -26,34 +26,39 @@ cache), and presents them behind a single URL two ways:
     understand.
 
 Worker lifecycle: workers are ``multiprocessing`` *spawn* processes (the
-repo's pool idiom — no forked locks, CI-friendly) that report
-``("ready", worker_id, port, records)`` or ``("error", worker_id, message)``
-on a queue, serve until SIGTERM, then drain in flight requests via
-:meth:`CorpusServer.shutdown` and exit 0.  A SIGKILLed worker drops out of
-the reuseport dispatch group (or starts refusing proxy connects) and the
-survivors keep serving — the crash-tolerance the fleet tests pin.
+repo's pool idiom — no forked locks, CI-friendly), each running
+:func:`~repro.server.app.serve` on its main thread's event loop.  Once
+bound, a worker reports ``("ready", worker_id, port, records, admin_port)``
+on a queue and acknowledges the fleet's admin-port roster with
+``("peers-ok", worker_id)``; a start-up failure is reported as
+``("error", worker_id, "<Type>: <message>")`` instead.  It serves until
+SIGTERM, then drains in-flight requests and exits 0.  A SIGKILLed worker
+drops out of the reuseport dispatch group (or starts refusing proxy
+connects) and the survivors keep serving — the crash-tolerance the fleet
+tests pin.
 
-:func:`run_fleet` is the blocking foreground entry point behind
-``zsmiles serve --workers N``.
+``zsmiles serve --workers N`` hosts a fleet through
+:func:`repro.server.app.run_server`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import multiprocessing
+import queue
 import socket
 import threading
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..core.codec import ZSmilesCodec
 from ..errors import ServerBusyError, ServerError
-from ..library import DEFAULT_POOL_SIZE, DEFAULT_STREAM_BATCH, AsyncCorpusLibrary
+from ..library import DEFAULT_POOL_SIZE, DEFAULT_STREAM_BATCH
 from ..store.reader import DEFAULT_CACHE_BLOCKS
-from ..telemetry.logs import open_access_log
 from . import protocol, wire
-from .app import DEFAULT_GRACE, DEFAULT_HOST, CorpusServer
+from .app import DEFAULT_HOST, CorpusServer, serve
 
 PathLike = Union[str, Path]
 
@@ -76,63 +81,22 @@ def _reuse_port_supported() -> bool:
 def _worker_main(
     worker_id: int,
     source: str,
-    codec: Optional[ZSmilesCodec],
-    host: str,
-    port: int,
-    reuse_port: bool,
-    readers: int,
-    cache_blocks: int,
-    use_mmap: bool,
-    stream_batch: int,
+    options: Dict[str, object],
     ready_queue: "multiprocessing.Queue",
     peers_queue: "multiprocessing.Queue",
-    access_log: Optional[str],
 ) -> None:
-    """One fleet worker: open the library, serve until SIGTERM, drain, exit.
+    """One fleet worker: :func:`serve` *source* until SIGTERM, drain, exit.
 
-    ``port`` is the shared fleet port in reuseport mode (every worker binds
-    it) and ``0`` in proxy mode (each worker reports its own ephemeral port
-    back through *ready_queue*).  Each worker also binds a private *admin*
-    listener on an ephemeral port (same handler, same routes) and reports it
-    in the ready tuple; once the parent has every admin port it posts one
-    ``("peers", ports)`` message per worker on *peers_queue* so any worker
-    can aggregate ``/stats`` and ``/metrics`` across the whole fleet.
+    *options* are :func:`serve`'s keywords; ``port`` is the shared fleet
+    port in reuseport mode (every worker binds it) and ``0`` in proxy mode
+    (each worker reports its own ephemeral port).  Once bound, the worker
+    reports its ports on *ready_queue*, then waits for the fleet's roster
+    of admin ports on *peers_queue* and acknowledges it, so any worker can
+    aggregate ``/stats`` and ``/metrics`` across the whole fleet.
     """
-    import functools
-    import queue as queue_mod
     import signal
 
-    async def _main() -> None:
-        try:
-            library = AsyncCorpusLibrary.open(
-                source,
-                codec=codec,
-                pool_size=readers,
-                cache_blocks=cache_blocks,
-                use_mmap=use_mmap,
-            )
-        except BaseException as exc:
-            ready_queue.put(("error", worker_id, f"{type(exc).__name__}: {exc}"))
-            return
-        log = open_access_log(access_log, worker_id=worker_id)
-        try:
-            server = CorpusServer(
-                library,
-                host,
-                port,
-                stream_batch=stream_batch,
-                reuse_port=reuse_port,
-                access_log=log,
-                worker_id=worker_id,
-            )
-            await server.start()
-            admin_port = await server.start_admin()
-        except BaseException as exc:
-            library.close()
-            if log is not None:
-                log.close()
-            ready_queue.put(("error", worker_id, f"{type(exc).__name__}: {exc}"))
-            return
+    async def main() -> None:
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -140,42 +104,37 @@ def _worker_main(
                 loop.add_signal_handler(signum, stop.set)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # platforms without loop signal handlers
+        reported = False
 
-        async def _adopt_peers() -> None:
-            # Poll (short blocking gets in the executor) so shutdown never
+        async def started(server: CorpusServer) -> None:
+            nonlocal reported
+            reported = True
+            ready_queue.put(
+                ("ready", worker_id, server.port, len(server.library), server.admin_port)
+            )
+            # Poll (short blocking gets in the executor) so a stop never
             # waits on a long queue.get if the parent dies mid-handshake.
             deadline = time.monotonic() + DEFAULT_READY_TIMEOUT
             while time.monotonic() < deadline and not stop.is_set():
                 try:
-                    message = await loop.run_in_executor(
+                    roster = await loop.run_in_executor(
                         None, functools.partial(peers_queue.get, True, 0.25)
                     )
-                except queue_mod.Empty:
+                except queue.Empty:
                     continue
-                if message[0] == "peers":
-                    server.peer_admin_ports = list(message[1])
-                    ready_queue.put(("peers-ok", worker_id))
+                server.peer_admin_ports = roster
+                ready_queue.put(("peers-ok", worker_id))
                 return
 
         try:
-            ready_queue.put(
-                ("ready", worker_id, server.port, len(library), admin_port)
-            )
-            peers_task = asyncio.ensure_future(_adopt_peers())
-            await stop.wait()
-            peers_task.cancel()
-            try:
-                await peers_task
-            except asyncio.CancelledError:
-                pass
-            await server.shutdown(grace=DEFAULT_GRACE)
-        finally:
-            library.close()
-            if log is not None:
-                log.close()
+            await serve(source, started, stop, worker_id=worker_id, **options)
+        except Exception as exc:
+            if reported:
+                raise
+            ready_queue.put(("error", worker_id, f"{type(exc).__name__}: {exc}"))
 
     try:
-        asyncio.run(_main())
+        asyncio.run(main())
     except KeyboardInterrupt:  # pragma: no cover — SIGINT race on teardown
         pass
 
@@ -216,15 +175,18 @@ class ServerFleet:
         if workers < 1:
             raise ServerError(f"workers must be >= 1, got {workers}")
         self._source = str(source)
-        self._codec = codec
         self._host = host
         self._port = port
-        self._readers = readers
-        self._cache_blocks = cache_blocks
-        self._use_mmap = use_mmap
-        self._stream_batch = stream_batch
+        self._options: Dict[str, object] = dict(
+            codec=codec,
+            host=host,
+            readers=readers,
+            cache_blocks=cache_blocks,
+            use_mmap=use_mmap,
+            stream_batch=stream_batch,
+            access_log=access_log,
+        )
         self._ready_timeout = ready_timeout
-        self._access_log = access_log
         self.admin_ports: List[int] = []
         self.workers = workers
         self.mode = (
@@ -269,9 +231,9 @@ class ServerFleet:
                 raise
             self._placeholder = placeholder
             self._port = placeholder.getsockname()[1]
-            worker_port, worker_reuse = self._port, True
+            options = dict(self._options, port=self._port, reuse_port=True)
         else:
-            worker_port, worker_reuse = 0, False
+            options = dict(self._options, port=0)
         # Everything from the first spawn onward runs under the teardown
         # guard: a failure while spawning worker k (or while awaiting
         # readiness) must terminate and join workers 0..k-1 — and release
@@ -281,28 +243,19 @@ class ServerFleet:
             for worker_id in range(self.workers):
                 process = ctx.Process(
                     target=_worker_main,
-                    args=(
-                        worker_id,
-                        self._source,
-                        self._codec,
-                        self._host,
-                        worker_port,
-                        worker_reuse,
-                        self._readers,
-                        self._cache_blocks,
-                        self._use_mmap,
-                        self._stream_batch,
-                        ready_queue,
-                        peers_queue,
-                        self._access_log,
-                    ),
+                    args=(worker_id, self._source, options, ready_queue, peers_queue),
                     name=f"zsmiles-fleet-worker-{worker_id}",
                     daemon=True,
                 )
                 process.start()
                 self._processes.append(process)
-            self._await_ready(ready_queue)
-            self._share_admin_ports(ready_queue, peers_queue)
+            ready = self._collect(ready_queue, "ready")
+            self._backend_ports = [ready[i][2] for i in range(self.workers)]
+            self.admin_ports = [ready[i][4] for i in range(self.workers)]
+            self.records = ready[0][3]
+            for _ in range(self.workers):
+                peers_queue.put(self.admin_ports)
+            self._collect(ready_queue, "peers-ok")
             if self.mode == "proxy":
                 self._start_proxy()
         except BaseException:
@@ -311,25 +264,30 @@ class ServerFleet:
         self._started = True
         return self
 
-    def _await_ready(self, ready_queue: "multiprocessing.Queue") -> None:
-        """Collect one ready/error report per worker, in any order."""
-        import queue as queue_mod
+    def _collect(self, ready_queue: "multiprocessing.Queue", kind: str) -> Dict[int, tuple]:
+        """One *kind* message per worker, in any order, keyed by worker id.
 
+        A worker's ``error`` report, a worker that died, or no message
+        within the ready timeout fails start-up with :class:`ServerError`
+        (its peers would otherwise serve without it, or with per-worker
+        numbers only).
+        """
         deadline = time.monotonic() + self._ready_timeout
-        ports: dict = {}
-        admin_ports: dict = {}
-        while len(ports) < self.workers:
+        messages: Dict[int, tuple] = {}
+        while len(messages) < self.workers:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ServerError(
-                    f"fleet startup timed out: {len(ports)}/{self.workers} "
-                    f"workers ready after {self._ready_timeout}s"
+                    f"fleet startup timed out: {len(messages)}/{self.workers} "
+                    f"workers sent {kind!r} after {self._ready_timeout}s"
                 )
             try:
                 message = ready_queue.get(timeout=min(remaining, 0.5))
-            except queue_mod.Empty:
+            except queue.Empty:
+                # A dead worker has flushed whatever it put on the queue, so
+                # only an empty queue means it died without reporting.
                 dead = [p for p in self._processes if not p.is_alive()]
-                if dead and len(ports) < self.workers:
+                if dead and ready_queue.empty():
                     raise ServerError(
                         f"fleet worker {dead[0].name} exited during startup "
                         f"(exitcode {dead[0].exitcode})"
@@ -338,51 +296,9 @@ class ServerFleet:
             if message[0] == "error":
                 _, worker_id, detail = message
                 raise ServerError(f"fleet worker {worker_id} failed to start: {detail}")
-            _, worker_id, port, records, admin_port = message
-            ports[worker_id] = port
-            admin_ports[worker_id] = admin_port
-            self.records = records
-        self._backend_ports = [ports[i] for i in range(self.workers)]
-        self.admin_ports = [admin_ports[i] for i in range(self.workers)]
-
-    def _share_admin_ports(
-        self,
-        ready_queue: "multiprocessing.Queue",
-        peers_queue: "multiprocessing.Queue",
-    ) -> None:
-        """Post the admin-port roster to every worker and collect the acks.
-
-        Runs only after :meth:`_await_ready` collected all N ready tuples, so
-        every message on *ready_queue* from here on is a ``peers-ok`` ack —
-        the handshake is deterministic, no races.  A worker that dies before
-        acking is surfaced as a startup error (its peers would silently serve
-        per-worker numbers otherwise).
-        """
-        import queue as queue_mod
-
-        for _ in range(self.workers):
-            peers_queue.put(("peers", list(self.admin_ports)))
-        deadline = time.monotonic() + self._ready_timeout
-        acked: set = set()
-        while len(acked) < self.workers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ServerError(
-                    f"fleet peers handshake timed out: {len(acked)}/"
-                    f"{self.workers} workers acked"
-                )
-            try:
-                message = ready_queue.get(timeout=min(remaining, 0.5))
-            except queue_mod.Empty:
-                dead = [p for p in self._processes if not p.is_alive()]
-                if dead:
-                    raise ServerError(
-                        f"fleet worker {dead[0].name} exited during the peers "
-                        f"handshake (exitcode {dead[0].exitcode})"
-                    )
-                continue
-            if message[0] == "peers-ok":
-                acked.add(message[1])
+            if message[0] == kind:
+                messages[message[1]] = message
+        return messages
 
     # -- proxy fallback -------------------------------------------------- #
     def _start_proxy(self) -> None:
@@ -544,68 +460,3 @@ class ServerFleet:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
-
-
-# --------------------------------------------------------------------------- #
-# Blocking foreground entry point (``zsmiles serve --workers N``)
-# --------------------------------------------------------------------------- #
-def run_fleet(
-    source: PathLike,
-    workers: int,
-    codec: Optional[ZSmilesCodec] = None,
-    host: str = DEFAULT_HOST,
-    port: int = 0,
-    readers: int = DEFAULT_POOL_SIZE,
-    cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-    use_mmap: bool = False,
-    access_log: Optional[str] = None,
-) -> int:
-    """Serve *source* with a worker fleet until SIGINT/SIGTERM.
-
-    Prints the same machine-readable first line as
-    :func:`repro.server.app.run_server` (``serving <records> records at
-    <url> ...``) so callers that parse the URL work against either entry
-    point.
-    """
-    import signal
-
-    fleet = ServerFleet(
-        source,
-        workers=workers,
-        codec=codec,
-        host=host,
-        port=port,
-        readers=readers,
-        cache_blocks=cache_blocks,
-        use_mmap=use_mmap,
-        access_log=access_log,
-    )
-    fleet.start()
-    try:
-        print(
-            f"serving {fleet.records} records at {fleet.url} "
-            f"(workers={workers}, mode={fleet.mode}, pool={readers}, "
-            f"cache_blocks={cache_blocks}{', mmap' if use_mmap else ''}) "
-            "— Ctrl-C to stop",
-            flush=True,
-        )
-        stop = threading.Event()
-
-        def _signalled(signum, frame):  # noqa: ARG001 — signal signature
-            stop.set()
-
-        previous = {}
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous[signum] = signal.signal(signum, _signalled)
-            except (ValueError, OSError):  # pragma: no cover — exotic hosts
-                pass
-        try:
-            stop.wait()
-        finally:
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-        print("shutting down fleet (draining workers)...", flush=True)
-    finally:
-        fleet.stop()
-    return 0

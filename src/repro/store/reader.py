@@ -37,7 +37,7 @@ import time
 from bisect import bisect_right
 from collections import OrderedDict
 from pathlib import Path
-from typing import BinaryIO, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.codec import ZSmilesCodec
 from ..dictionary import serialization
@@ -260,10 +260,8 @@ class RecordAccessMixin:
 
     Concrete readers implement ``get(index)``, ``__len__`` and ``slice`` (a
     block-wise range read, over :func:`checked_range`) and usually a
-    smarter ``iter_all``; this mixin supplies the derived methods and the
-    ``line``/``lines`` aliases shared with
-    :class:`~repro.core.random_access.RandomAccessReader`, so the protocol
-    surface lives in one place.
+    smarter ``iter_all``; this mixin supplies the derived methods, so the
+    protocol surface lives in one place.
     """
 
     def __getitem__(self, index: int) -> str:
@@ -293,15 +291,6 @@ class RecordAccessMixin:
         rng = random.Random(seed)
         indices = sorted(rng.sample(range(total), min(n, total)))
         return indices, self.get_many(indices)
-
-    # Compatibility aliases with RandomAccessReader's historical names.
-    def line(self, index: int) -> str:
-        """Alias of ``get`` (RandomAccessReader compatibility)."""
-        return self.get(index)  # type: ignore[attr-defined]
-
-    def lines(self, indices: Sequence[int]) -> List[str]:
-        """Alias of :meth:`get_many` (RandomAccessReader compatibility)."""
-        return self.get_many(indices)
 
 
 class ShardReader(RecordAccessMixin):
@@ -697,6 +686,29 @@ class ShardReader(RecordAccessMixin):
         return kernel.decompress_block(stored)
 
 
+def quarantine_rollup(
+    shards: Iterable[Tuple[Hashable, Iterable[int]]], hits: int
+) -> Dict[str, object]:
+    """The multi-shard ``quarantine_stats()`` payload.
+
+    *shards* holds ``(shard key, quarantined blocks)`` pairs, a key possibly
+    several times (pooled readers, fleet workers); their blocks union per
+    key, so a block two readers both quarantined counts once.  *hits* is
+    the summed ``quarantine_hits``.  Keys without blocks are left out.
+    """
+    union: Dict[Hashable, set] = {}
+    for key, blocks in shards:
+        if blocks:
+            union.setdefault(key, set()).update(blocks)
+    quarantined = sum(len(blocks) for blocks in union.values())
+    return {
+        "quarantined_blocks": quarantined,
+        "total_blocks_quarantined": quarantined,
+        "quarantine_hits": hits,
+        "shards": {key: sorted(blocks) for key, blocks in union.items()},
+    }
+
+
 class CorpusStore(RecordAccessMixin):
     """One logical corpus over one or more ``.zss`` shards.
 
@@ -789,17 +801,10 @@ class CorpusStore(RecordAccessMixin):
     def quarantine_stats(self) -> Dict[str, object]:
         """Aggregate quarantined-block counters across every shard."""
         stats = [shard.quarantine_stats() for shard in self.shards]
-        quarantined = sum(s["quarantined_blocks"] for s in stats)
-        return {
-            "quarantined_blocks": quarantined,
-            "total_blocks_quarantined": quarantined,
-            "quarantine_hits": sum(s["quarantine_hits"] for s in stats),
-            "shards": {
-                shard_no: s["blocks"]
-                for shard_no, s in enumerate(stats)
-                if s["blocks"]
-            },
-        }
+        return quarantine_rollup(
+            ((shard_no, s["blocks"]) for shard_no, s in enumerate(stats)),
+            sum(s["quarantine_hits"] for s in stats),
+        )
 
     def iter_all(self) -> Iterator[str]:
         """Iterate over every record of every shard, in order."""

@@ -234,7 +234,11 @@ class ShardWriter:
         if exc_type is None:
             self.close()
         elif self._owns_handle:
+            # A shard cut short has no footer and no reader opens it: a
+            # failed pack leaves no file behind (a caller's file object is
+            # the caller's to clean up).
             self._handle.close()
+            self.path.unlink(missing_ok=True)  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------ #
     # Internals

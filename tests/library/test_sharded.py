@@ -54,8 +54,6 @@ class TestCrossShardParity:
             assert len(lib) == len(reference)
             assert lib.get_many(range(len(reference))) == reference
             assert lib[64] == reference[64]
-            assert lib.line(64) == reference[64]
-            assert lib.lines([3, 99]) == [reference[3], reference[99]]
 
     def test_facade_over_bare_zss(self, single_shard_path, reference):
         """A lone .zss opens as a synthetic one-shard library."""

@@ -72,35 +72,37 @@ def served_library(tmp_path_factory):
 class TestServeSubprocess:
     def test_serve_round_trip_and_sigterm_shutdown(self, served_library):
         """The real thing: ``zsmiles serve`` as a process, ephemeral port,
-        client round trip, clean exit on SIGTERM."""
+        client round trip, clean exit on SIGTERM and on SIGINT."""
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        process = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro.cli",
-             "serve", str(served_library), "--port", "0", "--readers", "2"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            env=env,
-            text=True,
-        )
-        try:
-            announce = process.stdout.readline()
-            assert "serving" in announce and "http://" in announce, announce
-            url = next(tok for tok in announce.split() if tok.startswith("http://"))
-            with CorpusClient(url, timeout=10.0) as client:
-                direct_len = len(client)
-                assert direct_len == 96
-                assert client.get(0)
-                assert client.get_many([5, 90]) == [client.get(5), client.get(90)]
-                assert len(client.slice(0, 96)) == 96
-            process.send_signal(signal.SIGTERM)
-            assert process.wait(timeout=15) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            process = subprocess.Popen(
+                [sys.executable, "-u", "-m", "repro.cli",
+                 "serve", str(served_library), "--port", "0", "--readers", "2"],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                env=env,
+                text=True,
+            )
+            try:
+                announce = process.stdout.readline()
+                assert "serving" in announce and "http://" in announce, announce
+                url = next(tok for tok in announce.split() if tok.startswith("http://"))
+                with CorpusClient(url, timeout=10.0) as client:
+                    direct_len = len(client)
+                    assert direct_len == 96
+                    assert client.get(0)
+                    assert client.get_many([5, 90]) == [client.get(5), client.get(90)]
+                    assert len(client.slice(0, 96)) == 96
+                process.send_signal(signum)
+                assert process.wait(timeout=15) == 0, signum
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=10)
+                process.stdout.close()
 
     def test_serve_parity_with_direct_reads(self, served_library):
         """Records over the subprocess wire == records read in-process."""

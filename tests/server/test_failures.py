@@ -529,3 +529,45 @@ class TestGracefulShutdown:
     def test_startup_failure_surfaces_as_server_error(self, tmp_path):
         with pytest.raises(ServerError, match="failed to start"):
             BackgroundServer(tmp_path / "missing.zss").start()
+
+    def test_unopenable_access_log_fails_start_and_closes_the_library(
+        self, library_dir, tmp_path, monkeypatch
+    ):
+        """An access log that cannot be opened is a start-up failure like
+        any other: ``start()`` raises, no server thread is left behind and
+        the library opened before it is closed (``start()`` runs on a
+        helper thread so that a hang fails the test instead of the suite)."""
+        from repro.server import app
+
+        opened = []
+        real_open = AsyncCorpusLibrary.open
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(app.AsyncCorpusLibrary, "open", recording_open)
+        server = BackgroundServer(
+            library_dir, readers=2, access_log=tmp_path / "missing" / "access.log"
+        )
+        before = set(threading.enumerate())
+        outcome = []
+
+        def attempt():
+            try:
+                server.start()
+            except BaseException as exc:  # noqa: BLE001 — inspected below
+                outcome.append(exc)
+
+        starter = threading.Thread(target=attempt, daemon=True)
+        starter.start()
+        starter.join(timeout=20)
+        assert not starter.is_alive(), "start() hung on an unopenable access log"
+        assert len(outcome) == 1 and isinstance(outcome[0], ServerError), outcome
+        assert "failed to start" in str(outcome[0])
+        leftover = [
+            t for t in set(threading.enumerate()) - before
+            if t.name == "zsmiles-corpus-server"
+        ]
+        assert leftover == []
+        assert len(opened) == 1 and opened[0]._closed

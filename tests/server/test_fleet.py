@@ -151,6 +151,16 @@ class TestFleetLifecycle:
         with pytest.raises(ServerError, match="failed to start"):
             ServerFleet(tmp_path / "missing.zss", workers=1).start()
 
+    def test_unopenable_access_log_names_the_cause(self, library_dir, tmp_path):
+        """A worker's start-up failure reaches the parent with its cause,
+        not only as a worker that exited."""
+        fleet = ServerFleet(
+            library_dir, workers=1, access_log=str(tmp_path / "missing" / "access.log")
+        )
+        with pytest.raises(ServerError, match="failed to start: FileNotFoundError"):
+            fleet.start()
+        assert fleet._processes == []
+
     def test_spawn_failure_mid_startup_leaks_no_workers(
         self, library_dir, monkeypatch
     ):
@@ -195,30 +205,32 @@ class TestFleetLifecycle:
 class TestServeCliWorkers:
     def test_serve_workers_flag_runs_a_fleet(self, library_dir, corpus):
         """`zsmiles serve --workers 2` prints the URL line, serves, and
-        shuts down cleanly on SIGTERM."""
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve", str(library_dir),
-                "--workers", "2", "--port", "0", "--readers", "2",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            line = process.stdout.readline()
-            assert line.startswith("serving "), line
-            assert "workers=2" in line
-            url = line.split(" at ", 1)[1].split()[0]
-            with CorpusClient(url, timeout=10.0) as client:
-                assert client.get(3) == corpus[3]
-                assert client.get_many([0, 9]) == [corpus[0], corpus[9]]
-            process.send_signal(signal.SIGTERM)
-            assert process.wait(timeout=30) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+        shuts down cleanly on SIGTERM and on SIGINT."""
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            process = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cli", "serve", str(library_dir),
+                    "--workers", "2", "--port", "0", "--readers", "2",
+                ],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+            )
+            try:
+                line = process.stdout.readline()
+                assert line.startswith("serving "), line
+                assert "workers=2" in line
+                url = line.split(" at ", 1)[1].split()[0]
+                with CorpusClient(url, timeout=10.0) as client:
+                    assert client.get(3) == corpus[3]
+                    assert client.get_many([0, 9]) == [corpus[0], corpus[9]]
+                process.send_signal(signum)
+                assert process.wait(timeout=30) == 0, signum
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=10)
+                process.stdout.close()
 
     def test_serve_rejects_nonpositive_workers(self, library_dir):
         result = subprocess.run(

@@ -97,3 +97,29 @@ class TestReuseportFleetAggregation:
         assert first["counters"]["single"] == 8
         assert second["counters"]["single"] == 8
         assert first["workers"] == second["workers"] == 2
+
+
+class TestMergeStatsPayloads:
+    def test_a_block_two_workers_quarantined_counts_once(self):
+        from repro.server import merge_stats_payloads
+
+        def payload(shards, hits):
+            return {
+                "counters": {"single": 1},
+                "cache": {"hits": 1, "misses": 1},
+                "pool_size": 2,
+                "uptime_seconds": 1.0,
+                "quarantine": {"quarantine_hits": hits, "shards": shards},
+            }
+
+        merged = merge_stats_payloads([
+            payload({"shard-0": [3, 5]}, 2),
+            payload({"shard-0": [5], "shard-1": [0]}, 1),
+        ])
+        assert merged["quarantine"] == {
+            "quarantined_blocks": 3,
+            "total_blocks_quarantined": 3,
+            "quarantine_hits": 3,
+            "shards": {"shard-0": [3, 5], "shard-1": [0]},
+        }
+        assert merged["workers"] == 2

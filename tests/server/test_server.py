@@ -85,8 +85,6 @@ class TestRoundTripParity:
         assert client.slice(110, 10_000) == client.slice(110, len(corpus))
 
     def test_record_reader_aliases(self, client):
-        assert client.line(5) == client.get(5)
-        assert client.lines([1, 2]) == client.get_many([1, 2])
         assert client[9] == client.get(9)
 
 

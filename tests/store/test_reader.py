@@ -293,12 +293,6 @@ class TestShardReader:
             with pytest.raises(StoreFormatError, match="checksum"):
                 bad.get(30)                  # block 3 fails its CRC
 
-    def test_compatibility_aliases(self, packed_library):
-        path, corpus, _ = packed_library
-        with ShardReader(path) as reader:
-            assert reader.line(4) == corpus[4]
-            assert reader.lines([1, 2]) == corpus[1:3]
-
 
 class TestCorpusStore:
     def test_single_shard(self, packed_library):

@@ -169,3 +169,25 @@ class TestPackFile:
         with pytest.raises(StoreError, match="lib.smi"):
             pack_file(smi, smi, engine=plain_engine)
         assert smi.read_bytes() == before
+
+    def test_pack_file_with_missing_input_leaves_no_shard(self, plain_engine, tmp_path):
+        missing = tmp_path / "missing.smi"
+        with pytest.raises(FileNotFoundError):
+            pack_file(missing, engine=plain_engine)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestFailedPack:
+    def test_rejected_record_leaves_no_shard(self, plain_engine, tmp_path):
+        target = tmp_path / "out.zss"
+        with pytest.raises(StoreError, match="line terminators"):
+            pack_records(target, ["CCO", "C\nC"], plain_engine)
+        assert not target.exists()
+
+    def test_caller_file_object_is_left_alone(self, plain_engine, tmp_path):
+        target = tmp_path / "out.zss"
+        with open(target, "wb") as handle:
+            with pytest.raises(StoreError, match="line terminators"):
+                pack_records(handle, ["CCO", "C\nC"], plain_engine)
+            assert not handle.closed
+        assert target.exists()
