@@ -21,7 +21,7 @@ from repro.core.streaming import write_lines
 from repro.engine import ZSmilesEngine
 from repro.library import AsyncCorpusLibrary, CorpusLibrary, pack_library
 from repro.metrics.reporting import ResultTable
-from repro.store import CorpusStore, pack_records
+from repro.store import pack_records
 
 #: Random single-get requests timed per layout.
 REQUESTS = 200
@@ -29,7 +29,7 @@ REQUESTS = 200
 BATCH_SIZE = 50
 #: Shards in the sharded-library layout.
 SHARDS = 4
-#: Pooled readers for the async layout.
+#: Concurrent block loads for the async layout.
 POOL_SIZE = 4
 
 
@@ -57,7 +57,7 @@ def layouts(tmp_path_factory, shared_codec, serving_corpus):
                      shards=SHARDS, records_per_block=64)
     return {
         "flat .zsmi": lambda: RandomAccessReader(zsmi, index=index, codec=shared_codec),
-        "single .zss": lambda: CorpusStore(zss),
+        "single .zss": lambda: CorpusLibrary.open(zss),
         "sharded library": lambda: CorpusLibrary.open(library_dir),
         "sharded + mmap": lambda: CorpusLibrary.open(library_dir, use_mmap=True),
     }, library_dir
@@ -104,7 +104,7 @@ def test_single_and_batched_get_latency(layouts, serving_corpus, report):
             REQUESTS,
         )
 
-    # Async layout: one batched get_many fanned out over the reader pool.
+    # Async layout: one batched get_many fanned out over POOL_SIZE threads.
     async def timed_async() -> tuple:
         async with AsyncCorpusLibrary.open(library_dir, pool_size=POOL_SIZE) as library:
             start = time.perf_counter()
@@ -114,7 +114,7 @@ def test_single_and_batched_get_latency(layouts, serving_corpus, report):
     records, async_s = asyncio.run(timed_async())
     assert records == reference
     table.add_row(
-        f"async pool ({POOL_SIZE} readers)",
+        f"async pool ({POOL_SIZE} threads)",
         "-",
         async_s / REQUESTS * 1e6,
         REQUESTS,

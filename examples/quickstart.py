@@ -16,7 +16,7 @@ unified engine surface:
    molecules out of it — decoding only the block that holds them,
 6. pack the same corpus into a *sharded* library (``library.json`` + N
    shards) and serve it through ``CorpusLibrary`` — synchronously and
-   concurrently via ``AsyncCorpusLibrary``'s bounded reader pool,
+   concurrently via ``AsyncCorpusLibrary``'s bounded block loads,
 7. stand up the HTTP serving front over that library and read it back
    through ``CorpusClient`` (and plain ``open_reader("http://…")``) — the
    same corpus, now a network service (``zsmiles serve`` is the CLI
@@ -63,7 +63,6 @@ from repro import (
     BackgroundServer,
     CorpusClient,
     CorpusLibrary,
-    CorpusStore,
     EngineConfig,
     FailoverCorpusClient,
     ServerFleet,
@@ -152,10 +151,10 @@ def main() -> None:
         f"\npacked store:        {zss_path.name} — {info.records} records in "
         f"{info.blocks} blocks, {info.file_bytes} bytes (payload ratio {info.ratio:.3f})"
     )
-    with CorpusStore(zss_path) as store:
+    with CorpusLibrary.open(zss_path) as store:
         molecule = store.get(1_234)
         assert molecule == engine.preprocess(library[1_234])
-        shard = store.shards[0]
+        shard = store.shard(0)
         print(
             f"store.get(1234):     {molecule} "
             f"(decoded {shard.blocks_decoded} of {shard.block_count} blocks, "
@@ -166,7 +165,7 @@ def main() -> None:
     # 6. Shard the corpus into a serving library and read it concurrently.
     #    library.json routes global indices to shards; shards open lazily
     #    and share one LRU cache budget.  The async surface fans batched
-    #    requests out over a bounded pool of readers.
+    #    requests out over at most pool_size threads loading blocks.
     # ------------------------------------------------------------------ #
     library_dir = workdir / "library.library"
     lib_info = pack_library(library_dir, library, engine, shards=4, records_per_block=128)
@@ -192,7 +191,7 @@ def main() -> None:
             assert streamed == [engine.preprocess(s) for s in library[:8]]
             print(
                 f"async get_many:      {len(records)} records over "
-                f"{alib.pool_size} pooled readers; streamed {len(streamed)} more"
+                f"{alib.pool_size} load threads; streamed {len(streamed)} more"
             )
 
     asyncio.run(serve_concurrently())
@@ -201,7 +200,7 @@ def main() -> None:
     # 7. The network tier: the same library as an HTTP service.
     #    `zsmiles serve library.library --port 8765` is the CLI spelling;
     #    here the server runs on a background thread of this process.  The
-    #    bounded reader pool caps concurrent block loads (backpressure),
+    #    readers bound caps concurrent block loads (backpressure),
     #    and any RecordReader consumer can point at the URL.
     # ------------------------------------------------------------------ #
     with BackgroundServer(library_dir, readers=4) as server:

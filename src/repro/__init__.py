@@ -26,12 +26,13 @@ Single-record helpers (``engine.compress`` / ``engine.decompress`` /
 
 Corpora are served at scale from the block-compressed ``.zss`` store
 (:mod:`repro.store`): ``pack_records`` / ``pack_file`` pack through the
-engine (parallel across blocks), ``CorpusStore`` serves ``get(i)`` by
-decoding a single block, and the flat ``RandomAccessReader`` remains the
-documented fallback behind the shared ``RecordReader`` protocol
-(``open_reader`` picks by suffix).  Sharded ``library.json`` corpora serve
-through ``CorpusLibrary`` / ``AsyncCorpusLibrary`` (:mod:`repro.library`),
-and ``zsmiles serve`` exposes any packed corpus over HTTP
+engine (parallel across blocks), ``ShardReader`` serves ``get(i)`` by
+decoding a single record of a single block, and the flat
+``RandomAccessReader`` remains the documented fallback behind the shared
+``RecordReader`` protocol (``open_reader`` picks by suffix).  Any packed
+corpus — one ``.zss`` or a sharded ``library.json`` — serves through
+``CorpusLibrary`` / ``AsyncCorpusLibrary`` (:mod:`repro.library`), and
+``zsmiles serve`` exposes any packed corpus over HTTP
 (:mod:`repro.server`) — ``open_reader("http://…")`` consumes it through the
 same protocol.
 """
@@ -65,7 +66,6 @@ from .library import (
     CorpusLibrary,
     LibraryManifest,
     LibraryWriter,
-    ShardedCorpusStore,
     compose_libraries,
     pack_library,
     pack_library_file,
@@ -96,7 +96,6 @@ from .campaign import (
 from .preprocess.pipeline import PreprocessingPipeline, make_pipeline
 from .preprocess.ring_renumber import renumber_rings
 from .store import (
-    CorpusStore,
     FsckReport,
     RecordReader,
     ShardReader,
@@ -129,7 +128,6 @@ __all__ = [
     "CorpusLibrary",
     "LibraryManifest",
     "LibraryWriter",
-    "ShardedCorpusStore",
     "compose_libraries",
     "pack_library",
     "pack_library_file",
@@ -154,7 +152,6 @@ __all__ = [
     "CampaignState",
     "GenerationStats",
     # Block-compressed corpus store (.zss) and the shared reader protocol.
-    "CorpusStore",
     "FsckReport",
     "RecordReader",
     "ShardReader",

@@ -26,7 +26,7 @@ needs:
   ``--repair`` restores damaged shards from a healthy ``--replica`` (byte-identical)
   or re-packs them from the ``--source`` corpus (content-identical).
 * ``zsmiles serve``       — serve a packed corpus over HTTP (``repro.server``): single
-  records, batches and chunked range streams out of an async reader pool, with
+  records, batches and chunked range streams out of one async library, with
   ``/stats`` + ``/healthz`` and graceful shutdown on SIGINT/SIGTERM.
 * ``zsmiles serve-bench`` — measure single-get / batched-get serving latency of any
   corpus layout (flat, ``.zss``, sharded library, mmap, async pool); ``--json PATH``
@@ -69,11 +69,11 @@ from .library import (
     compose_libraries,
     is_packed_path,
     pack_library_file,
-    resolve_manifest_path,
 )
+from .errors import ServerError
 from .server.app import DEFAULT_HOST as SERVER_DEFAULT_HOST
 from .server.app import DEFAULT_PORT as SERVER_DEFAULT_PORT
-from .store import DEFAULT_CACHE_BLOCKS, CorpusStore, RecordReader, open_reader, pack_file
+from .store import DEFAULT_CACHE_BLOCKS, STORE_SUFFIX, RecordReader, open_reader, pack_file
 from .store.writer import DEFAULT_RECORDS_PER_BLOCK
 from .experiments import (
     ExperimentScale,
@@ -234,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=SERVER_DEFAULT_PORT,
                        help=f"bind port, 0 = ephemeral (default: {SERVER_DEFAULT_PORT})")
     serve.add_argument("--readers", type=int, default=DEFAULT_POOL_SIZE, metavar="N",
-                       help="async reader-pool size = max concurrent block loads "
-                            f"(default: {DEFAULT_POOL_SIZE})")
+                       help="max concurrent block loads (worker threads) over the "
+                            f"one opened corpus (default: {DEFAULT_POOL_SIZE})")
     serve.add_argument("--cache-blocks", type=int, default=DEFAULT_CACHE_BLOCKS,
                        metavar="N", help="shared LRU budget of cached blocks "
                                          f"(default: {DEFAULT_CACHE_BLOCKS})")
@@ -525,11 +525,7 @@ def _open_corpus(
     use_mmap: bool = False,
 ):
     """Open a packed corpus: a library (directory / manifest) or one ``.zss``."""
-    if resolve_manifest_path(path) is not None:
-        return CorpusLibrary.open(
-            path, codec=codec, cache_blocks=cache_blocks, use_mmap=use_mmap
-        )
-    return CorpusStore(path, codec=codec, cache_blocks=cache_blocks, use_mmap=use_mmap)
+    return CorpusLibrary.open(path, codec=codec, cache_blocks=cache_blocks, use_mmap=use_mmap)
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
@@ -595,25 +591,21 @@ def _cmd_unpack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _corpus_dictionary_identity(store):
+def _corpus_dictionary_identity(library):
     """The dictionary identity of an opened corpus, or ``None``.
 
     Libraries answer from their manifest; a bare ``.zss`` store answers
-    from the dictionary embedded in its first shard footer.
+    from the dictionary embedded in its footer.
     """
     from .dictionary.serialization import DictionaryIdentity, loads
     from .store import DICTIONARY_META_KEY
 
-    if hasattr(store, "dictionary_identity"):
-        identity = store.dictionary_identity()
-        if identity is not None:
-            return identity
-    shards = getattr(store, "shards", None)
-    if shards:
-        text = shards[0].metadata.get(DICTIONARY_META_KEY)
+    identity = library.dictionary_identity()
+    if identity is None and library.path.suffix == STORE_SUFFIX:
+        text = library.shard(0).metadata.get(DICTIONARY_META_KEY)
         if isinstance(text, str) and text:
             return DictionaryIdentity.of(loads(text))
-    return None
+    return identity
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -633,15 +625,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             identity = _corpus_dictionary_identity(store)
             if identity is not None:
                 print(f"dictionary: {identity.label()}", file=sys.stderr)
-            stats = (
-                store.cache_stats()
-                if hasattr(store, "cache_stats")
-                # CorpusStore: per-shard private caches; aggregate them.
-                else {
-                    key: sum(shard.cache_stats()[key] for shard in store.shards)
-                    for key in ("hits", "misses", "capacity", "cached_blocks")
-                }
-            )
+            stats = store.cache_stats()
             lookups = stats["hits"] + stats["misses"]
             hit_rate = stats["hits"] / lookups if lookups else 0.0
             print(
@@ -650,13 +634,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 f"{stats['cached_blocks']}/{stats['capacity']} blocks resident",
                 file=sys.stderr,
             )
-            if hasattr(store, "quarantine_stats"):
-                quarantine = store.quarantine_stats()
-                print(
-                    f"quarantine: {quarantine['quarantined_blocks']} blocks, "
-                    f"{quarantine['quarantine_hits']} hits",
-                    file=sys.stderr,
-                )
+            quarantine = store.quarantine_stats()
+            print(
+                f"quarantine: {quarantine['quarantined_blocks']} blocks, "
+                f"{quarantine['quarantine_hits']} hits",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -831,17 +814,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
     codec = _load_engine(args.dictionary).codec if args.dictionary else None
-    return run_server(
-        args.input,
-        workers=args.workers,
-        codec=codec,
-        host=args.host,
-        port=args.port,
-        readers=args.readers,
-        cache_blocks=args.cache_blocks,
-        use_mmap=args.mmap,
-        access_log=args.access_log,
-    )
+    try:
+        return run_server(
+            args.input,
+            workers=args.workers,
+            codec=codec,
+            host=args.host,
+            port=args.port,
+            readers=args.readers,
+            cache_blocks=args.cache_blocks,
+            use_mmap=args.mmap,
+            access_log=args.access_log,
+        )
+    except ServerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:

@@ -28,7 +28,7 @@ from ..dictionary.codec_table import CodecTable
 from ..dictionary.serialization import DictionaryIdentity, load as load_dictionary
 from ..engine.engine import ZSmilesEngine
 from ..errors import CurationError
-from ..library.facade import CorpusLibrary
+from ..library.corpus import CorpusLibrary
 from ..library.writer import LibraryInfo, LibraryWriter
 from ..preprocess.pipeline import PreprocessingPipeline
 

@@ -110,8 +110,9 @@ def iter_smi(
 ) -> Iterator[SmiRecord]:
     """Lazily iterate over the records of a ``.smi`` file (blank lines skipped).
 
-    A ``.zss`` packed corpus is served through :class:`repro.store.CorpusStore`
-    — decoded with *codec*, or the store's embedded dictionary when ``None``.
+    A packed corpus (a ``.zss`` shard or a library) is served through
+    :class:`repro.library.CorpusLibrary` — decoded with *codec*, or the
+    shards' embedded dictionary when ``None``.
     """
     for line in _iter_record_lines(path, codec=codec):
         if not line.strip():
@@ -136,14 +137,15 @@ def _iter_record_lines(path: PathLike, codec: Optional[object] = None) -> Iterat
             yield from client.iter_all()
         return
     path = Path(path)
-    if path.is_dir() or path.suffix == ".json":
-        # A sharded library (directory with library.json, or the manifest
-        # itself).  Imported lazily, like the store below; a directory
-        # without a manifest falls through to the flat open below, failing
-        # the way it always has.
-        from ..library import CorpusLibrary, resolve_manifest_path
+    if path.is_dir() or path.suffix in (".json", STORE_SUFFIX):
+        # A packed corpus: a library directory, its library.json manifest or
+        # a bare .zss shard.  Imported lazily: the library pulls in the codec
+        # stack, which this light-weight I/O module must not load for plain
+        # .smi reads.  A directory without a manifest falls through to the
+        # flat open below, failing the way it always has.
+        from ..library import CorpusLibrary, is_packed_path
 
-        if resolve_manifest_path(path) is not None:
+        if is_packed_path(path):
             with CorpusLibrary.open(path, codec=codec) as library:  # type: ignore[arg-type]
                 for shard_no in range(library.shard_count):
                     if library.shard(shard_no).codec is None:
@@ -153,20 +155,6 @@ def _iter_record_lines(path: PathLike, codec: Optional[object] = None) -> Iterat
                         )
                 yield from library.iter_all()
             return
-    if path.suffix == STORE_SUFFIX:
-        # Imported lazily: repro.store.reader pulls in the codec stack, which
-        # this light-weight I/O module must not load for plain .smi reads.
-        from ..store.reader import CorpusStore
-
-        with CorpusStore(path, codec=codec) as store:  # type: ignore[arg-type]
-            for shard in store.shards:
-                if shard.codec is None:
-                    raise DatasetError(
-                        f"{path}: packed corpus has no embedded dictionary; "
-                        "pass codec= to decode it"
-                    )
-            yield from store.iter_all()
-        return
     with open(path, "r", encoding="utf-8") as handle:
         for raw in handle:
             yield raw.rstrip("\r\n")

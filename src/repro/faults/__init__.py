@@ -16,10 +16,12 @@ Three layers:
   proxy.
 * :mod:`repro.faults.io` — :class:`FaultyFile`, an injectable file object
   wrapping ``open``/``read``/``seek`` that flips bits, short-reads,
-  truncates and delays per its plan.  ``.zss`` readers accept open binary
-  handles, so the faulty layer slots straight into
-  :class:`~repro.store.reader.ShardReader` /
-  :class:`~repro.store.reader.CorpusStore` with no store changes.
+  truncates and delays per its plan.  A
+  :class:`~repro.store.reader.ShardReader` accepts an open binary handle,
+  so the faulty layer slots straight into it with no store changes.  A
+  :class:`FaultyFile` has no file descriptor on purpose: the reader then
+  reads it with ``seek`` + ``read``, never positionally around the
+  wrapper, so every read meets its plan.
 * :mod:`repro.faults.proxy` — :class:`FaultyProxy`, a TCP proxy in front
   of a real corpus server that injects connection resets, stalls and
   mid-stream drops, for exercising the client retry / failover paths.

@@ -8,8 +8,8 @@ hand-wiring readers, codecs and dictionaries.
 Serving a corpus — which layout to use
 ======================================
 
-Four tiers serve the same :class:`~repro.store.protocol.RecordReader`
-protocol — flat → ``.zss`` → sharded library → HTTP — pick by scale and
+Three local tiers and one network tier serve the same
+:class:`~repro.store.protocol.RecordReader` protocol — pick by scale and
 access pattern:
 
 **Flat** (``.smi`` / ``.zsmi`` + ``.zsx`` sidecar index) —
@@ -17,19 +17,22 @@ access pattern:
 record, an index entry per record.  Right for small corpora, debugging,
 and line-oriented tooling; the documented fallback.
 
-**Single-shard store** (``.zss``) — :class:`~repro.store.CorpusStore`.
-Fixed-size blocks of codec output with a footer index, CRC-32 checks, LRU
-block cache and an embeddable dictionary.  Right for any corpus that is
-packed once and served many times from one process.
+**One shard** (``.zss``) — :class:`~repro.store.ShardReader`, or
+:meth:`CorpusLibrary.open` over the bare file.  Fixed-size blocks of codec
+output with a footer index, CRC-32 checks, an LRU block cache and an
+embeddable dictionary.  Right for any corpus that is packed once and
+served many times from one process; ``ShardReader`` also reads an open
+file object.
 
-**Sharded library** (``library.json`` + N ``.zss`` shards) —
-:class:`CorpusLibrary` over :class:`ShardedCorpusStore`.  The manifest
-routes global indices to shards, shards open lazily, and all shards share
-one LRU cache budget; ``use_mmap=True`` serves block reads from read-only
-memory maps.  Right at scale: corpora too big for one file, parallel
-packing, and concurrent serving.  :class:`AsyncCorpusLibrary` adds
-``await get`` / ``get_many`` / ``stream`` over a bounded reader pool for
-high-fanout consumers (e.g. generative screening loops).
+**Any packed corpus** (``library.json`` + N ``.zss`` shards, or one bare
+``.zss``) — :class:`CorpusLibrary`.  The manifest routes global indices to
+shards, shards open lazily, and all shards share one LRU cache budget;
+``use_mmap=True`` serves block reads from read-only memory maps.  Right at
+scale: corpora too big for one file, parallel packing, and concurrent
+serving.  :class:`AsyncCorpusLibrary` wraps one :class:`CorpusLibrary`
+and adds ``await get`` / ``get_many`` / ``stream``, with at most
+``pool_size`` block loads on worker threads at once, for high-fanout
+consumers (e.g. generative screening loops).
 
 **Network service** (``http://host:port``) — :mod:`repro.server`.  A
 ``zsmiles serve`` process (or :class:`~repro.server.CorpusServer` embedded
@@ -39,9 +42,8 @@ in yours) mounts an :class:`AsyncCorpusLibrary` and speaks HTTP/1.1:
 Right when consumers are *other processes or machines*: the corpus is
 packed once, served by one process, and every consumer reads it through
 :class:`~repro.server.CorpusClient` — or just ``open_reader("http://…")``,
-which satisfies this same protocol.  The bounded reader pool caps
-concurrent block loads, so a burst of clients queues instead of
-thundering the disk.
+which satisfies this same protocol.  The pool bound caps concurrent block
+loads, so a burst of clients queues instead of thundering the disk.
 
 Packing::
 
@@ -77,8 +79,8 @@ its whole block) and a warm hot set decodes nothing; ``iter_all`` (and
 unpack, repack and ``read_store_records``, which read through it) decodes
 a block's missing records in one kernel call.  ``get_raw`` reads the same
 entries: there is one cache and one budget, ``cache_blocks`` blocks,
-shared by every shard of a library and every reader of an
-:class:`AsyncCorpusLibrary` pool.  Because records decode on their own, a
+shared by every shard of a library and every thread loading blocks for an
+:class:`AsyncCorpusLibrary`.  Because records decode on their own, a
 record is served even when another record of its block cannot be decoded
 (a wrong codec override, or a hand-built shard).
 
@@ -89,26 +91,25 @@ lookup per record served: a miss for each block a read loads, a hit for
 every other record.
 
 :class:`AsyncCorpusLibrary` serves a cached record on the event loop and
-sends only block loads to its reader pool.  Each read first probes the
+sends only block loads to worker threads.  Each read first probes the
 cache through ``CorpusLibrary.probe`` / ``probe_slice``, which do no I/O:
 no shard is opened, no block read and no quarantine checked (a quarantined
-block is never cached), and a shard no pooled reader has opened counts as
+block is never cached), and a shard the library has not opened counts as
 not cached.  A hit is served, and decoded if it is read for the first time,
-on the loop; a miss counts nothing there, and the pooled read that loads
+on the loop; a miss counts nothing there, and the threaded read that loads
 the block counts it.  ``get_many`` yields the loop between chunks of
 ``DEFAULT_STREAM_BATCH`` cached records, and fans only its misses out over
-the pool; a range goes to the pool, in one hop, only for the shards whose
-part of it is not wholly cached.
+the pool; a range goes to a thread, in one hop, unless it is wholly
+cached.
 
 Migrating from ``open_reader``
 ==============================
 
-:func:`repro.store.open_reader` remains the suffix-dispatching shim and now
-hands library directories / ``library.json`` paths to
+:func:`repro.store.open_reader` remains the suffix-dispatching shim and
+hands library directories, ``library.json`` paths and ``.zss`` files to
 :meth:`CorpusLibrary.open`, so existing call sites gain sharded serving by
 being pointed at a manifest — no code change.  New code that knows it is
-serving packed corpora should call :meth:`CorpusLibrary.open` directly
-(it also accepts a bare ``.zss``).
+serving packed corpora should call :meth:`CorpusLibrary.open` directly.
 """
 
 from .async_api import (
@@ -118,7 +119,7 @@ from .async_api import (
     open_async_reader,
 )
 from .compose import compose_libraries, compose_manifests
-from .facade import CorpusLibrary
+from .corpus import CorpusLibrary
 from .manifest import (
     MANIFEST_FORMAT,
     MANIFEST_NAME,
@@ -128,7 +129,6 @@ from .manifest import (
     is_packed_path,
     resolve_manifest_path,
 )
-from .sharded import ShardedCorpusStore
 from .writer import (
     SHARD_NAME_FORMAT,
     LibraryInfo,
@@ -151,7 +151,6 @@ __all__ = [
     "MANIFEST_VERSION",
     "SHARD_NAME_FORMAT",
     "ShardEntry",
-    "ShardedCorpusStore",
     "compose_libraries",
     "compose_manifests",
     "is_packed_path",

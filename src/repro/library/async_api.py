@@ -1,23 +1,25 @@
 """Async serving surface: :class:`AsyncCorpusLibrary`.
 
-A record whose block is already in the shared block cache is served on the
-event loop: the lookup takes microseconds, where handing it to a thread
-costs far more.  Only block loads, which do file I/O, run on worker threads
-(``asyncio.to_thread``) over a *bounded pool* of independent
-:class:`~repro.library.facade.CorpusLibrary` readers.  Each pooled reader
-owns its file handles, so concurrent loads never contend on a shared seek
-position; the pool size bounds both thread fan-out and open file handles.
-Results are byte-identical to the sync path — the parity tests pin
-``await lib.get(i) == store.get(i)`` for every record.
+An :class:`AsyncCorpusLibrary` wraps one
+:class:`~repro.library.CorpusLibrary`.  A record whose block is already in
+the block cache is served on the event loop: the lookup takes microseconds,
+where handing it to a thread costs far more.  Only block loads, which do
+file I/O, run on worker threads (``asyncio.to_thread``), at most
+``pool_size`` at once: the pool bounds concurrent block loads over the one
+library, so a burst of requests queues instead of thundering the disk.
+The shard readers read blocks positionally, so those loads do not
+serialize on a seek position.  Results are byte-identical to the sync
+path — the parity tests pin ``await lib.get(i) == store.get(i)`` for every
+record.
 
 Every read probes the cache first.  ``get`` serves a cached record on the
 loop (decoding it there on its first read); ``get_many`` serves its cached
 records on the loop, yielding to other tasks between chunks of
 :data:`DEFAULT_STREAM_BATCH` records, and fans only the rest out over the
-pool; ``slice`` serves each shard's part of a range on the loop when all
-its blocks are cached, and sends the other parts to the pool in one hop;
-``stream`` is a loop over ``slice``.  The probe does no I/O: a shard no
-pooled reader has opened counts as not cached.
+pool; ``slice`` serves a range on the loop when all its blocks are cached,
+and otherwise reads it in one hop; ``stream`` is a loop over ``slice``.
+The probe does no I/O: a shard the library has not opened counts as not
+cached.
 
 Typical use inside a request-serving loop::
 
@@ -34,25 +36,18 @@ semaphore is an :class:`asyncio.Semaphore`); create one per loop.
 from __future__ import annotations
 
 import asyncio
-import threading
 from pathlib import Path
 from typing import AsyncIterator, Callable, List, Optional, Sequence, TypeVar, Union
 
 from ..core.codec import ZSmilesCodec
 from ..errors import LibraryError
-from ..store.reader import (
-    DEFAULT_CACHE_BLOCKS,
-    BlockCache,
-    checked_range,
-    quarantine_rollup,
-    split_range,
-)
-from .facade import CorpusLibrary
+from ..store.reader import DEFAULT_CACHE_BLOCKS, checked_range
+from .corpus import CorpusLibrary
 
 PathLike = Union[str, Path]
 T = TypeVar("T")
 
-#: Default number of pooled readers (and therefore concurrent blocking reads).
+#: Default bound on concurrent block loads (worker threads) over one library.
 DEFAULT_POOL_SIZE = 4
 #: Default records fetched per :meth:`AsyncCorpusLibrary.stream` batch, and
 #: the records ``get_many`` serves on the loop before it yields.
@@ -60,17 +55,18 @@ DEFAULT_STREAM_BATCH = 1024
 
 
 class AsyncCorpusLibrary:
-    """Concurrent, awaitable record serving over a pool of library readers."""
+    """Concurrent, awaitable record serving over one :class:`CorpusLibrary`.
 
-    def __init__(self, readers: Sequence[CorpusLibrary]):
-        if not readers:
-            raise LibraryError("AsyncCorpusLibrary needs at least one reader")
-        self._readers: List[CorpusLibrary] = list(readers)
-        self._idle: List[CorpusLibrary] = list(self._readers)
-        self._idle_lock = threading.Lock()
-        self._semaphore = asyncio.Semaphore(len(self._readers))
+    At most *pool_size* block loads run on worker threads at once.
+    """
+
+    def __init__(self, library: CorpusLibrary, pool_size: int = DEFAULT_POOL_SIZE):
+        if pool_size < 1:
+            raise LibraryError("pool_size must be >= 1")
+        self.library = library
+        self.pool_size = pool_size
+        self._semaphore = asyncio.Semaphore(pool_size)
         self._closed = False
-        self._starts = [shard.start for shard in self._readers[0].manifest.shards]
 
     @classmethod
     def open(
@@ -82,114 +78,66 @@ class AsyncCorpusLibrary:
         verify_checksums: bool = True,
         use_mmap: bool = False,
     ) -> "AsyncCorpusLibrary":
-        """Open *source* (library directory / manifest / ``.zss``) *pool_size* times.
+        """Open *source* (library directory / manifest / ``.zss``) once.
 
-        The pooled readers hold independent file handles (so blocking reads
-        never contend on a seek position) but share one ``cache_blocks``
-        LRU budget: a block loaded (or a record decoded) by any reader is a
-        cache hit for all.
+        Up to *pool_size* threads load blocks of the one library at once;
+        they share its ``cache_blocks`` LRU budget, so a block loaded (or a
+        record decoded) for one request is a cache hit for all.
         """
         if pool_size < 1:
             raise LibraryError("pool_size must be >= 1")
-        shared_cache = BlockCache(cache_blocks)
-        readers: List[CorpusLibrary] = []
-        try:
-            for _ in range(pool_size):
-                readers.append(
-                    CorpusLibrary.open(
-                        source,
-                        codec=codec,
-                        cache_blocks=cache_blocks,
-                        verify_checksums=verify_checksums,
-                        use_mmap=use_mmap,
-                        cache=shared_cache,
-                    )
-                )
-        except Exception:
-            for reader in readers:
-                reader.close()
-            raise
-        return cls(readers)
+        library = CorpusLibrary.open(
+            source,
+            codec=codec,
+            cache_blocks=cache_blocks,
+            verify_checksums=verify_checksums,
+            use_mmap=use_mmap,
+        )
+        return cls(library, pool_size)
 
     # ------------------------------------------------------------------ #
-    # Pool plumbing
+    # The wrapped library
     # ------------------------------------------------------------------ #
-    @property
-    def pool_size(self) -> int:
-        return len(self._readers)
-
     def __len__(self) -> int:
-        return len(self._readers[0])
+        return len(self.library)
 
     @property
     def manifest(self):
-        """The pooled readers' shared manifest (they all open the same source)."""
-        return self._readers[0].manifest
+        """The library's manifest."""
+        return self.library.manifest
 
     def dictionary_identity(self):
-        """The dictionary identity the shared manifest pins, or ``None``."""
-        return self._readers[0].dictionary_identity()
+        """The dictionary identity the manifest pins, or ``None``."""
+        return self.library.dictionary_identity()
 
     def cache_stats(self) -> dict:
-        """Shared block cache counters across the whole reader pool.
-
-        :meth:`open` hands every pooled reader the same :class:`BlockCache`,
-        so the first reader's snapshot *is* the pool aggregate.
-        """
-        return self._readers[0].cache_stats()
+        """The library's shared block cache counters."""
+        return self.library.cache_stats()
 
     def quarantine_stats(self) -> dict:
-        """Quarantined-block counters aggregated across the reader pool.
-
-        Quarantine state is per-reader (each pooled reader owns its shard
-        handles), so the pool aggregate sums every reader's counters and
-        unions the per-shard damaged-block lists.
-        """
-        stats = [reader.quarantine_stats() for reader in self._readers]
-        return quarantine_rollup(
-            (shard for s in stats for shard in s["shards"].items()),
-            sum(s["quarantine_hits"] for s in stats),
-        )
+        """The library's quarantined-block counters."""
+        return self.library.quarantine_stats()
 
     def _check_open(self) -> None:
         if self._closed:
             raise LibraryError("AsyncCorpusLibrary is closed")
 
-    def _cached(self, probe: Callable[..., Optional[T]], *args: int) -> Optional[T]:
-        """``probe(reader, *args)`` through each pooled reader until one serves it.
-
-        Runs on the loop, on busy and idle readers alike: a probe touches only
-        the shared cache and the re-entrant decode path.  The readers open
-        shards lazily, each on its own, so a block cached by one may belong
-        to a shard another has never opened; trying every reader serves it
-        whichever one loaded it.
-        """
-        for reader in self._readers:
-            result = probe(reader, *args)
-            if result is not None:
-                return result
-        return None
-
-    async def _call(self, fn: Callable[[CorpusLibrary], T]) -> T:
-        """Run a blocking reader operation on a pooled reader in a thread."""
+    async def _call(self, fn: Callable[[], T]) -> T:
+        """Run a blocking library read in a worker thread, *pool_size* at most."""
         self._check_open()
         async with self._semaphore:
             # Re-checked after the (possibly long) semaphore wait: a call
-            # queued behind a full pool must not reopen handles that close()
+            # queued behind a full pool must not reopen files that close()
             # released in the meantime.
             self._check_open()
-            with self._idle_lock:
-                reader = self._idle.pop()
             try:
-                return await asyncio.to_thread(fn, reader)
+                return await asyncio.to_thread(fn)
             finally:
                 # A close() racing an uncancellable worker thread may have
-                # been undone by the reader lazily reopening its handles;
-                # re-close here so nothing leaks past the pool's shutdown.
+                # been undone by a shard lazily reopening its file; re-close
+                # here so nothing leaks past shutdown.
                 if self._closed:
-                    reader.close()
-                with self._idle_lock:
-                    self._idle.append(reader)
+                    self.library.close()
 
     # ------------------------------------------------------------------ #
     # Access
@@ -197,9 +145,9 @@ class AsyncCorpusLibrary:
     async def get(self, index: int) -> str:
         """The record at global *index*."""
         self._check_open()
-        record = self._cached(CorpusLibrary.probe, index)
+        record = self.library.probe(index)
         if record is None:
-            record = await self._call(lambda reader: reader.get(index))
+            record = await self._call(lambda: self.library.get(index))
         return record
 
     async def get_many(self, indices: Sequence[int]) -> List[str]:
@@ -207,25 +155,24 @@ class AsyncCorpusLibrary:
 
         Cached records are served on the loop, which is yielded between
         chunks of :data:`DEFAULT_STREAM_BATCH` records.  The rest are split
-        into contiguous chunks fanned out over the reader pool, so a batch
-        of misses keeps every pooled reader busy.
+        into *pool_size* contiguous chunks loaded concurrently.
         """
         indices = list(indices)
         self._check_open()
+        probe = self.library.probe
         records: List[Optional[str]] = []
         for chunk in range(0, len(indices), DEFAULT_STREAM_BATCH):
             if chunk:
                 await asyncio.sleep(0)
                 self._check_open()
-            for index in indices[chunk : chunk + DEFAULT_STREAM_BATCH]:
-                records.append(self._cached(CorpusLibrary.probe, index))
+            records += map(probe, indices[chunk : chunk + DEFAULT_STREAM_BATCH])
         missing = [position for position, record in enumerate(records) if record is None]
         if missing:
             wanted = [indices[position] for position in missing]
             size = -(-len(wanted) // self.pool_size)  # ceil division
             parts = await asyncio.gather(
                 *(
-                    self._call(lambda reader, c=wanted[i : i + size]: reader.get_many(c))
+                    self._call(lambda c=wanted[i : i + size]: self.library.get_many(c))
                     for i in range(0, len(wanted), size)
                 )
             )
@@ -237,28 +184,14 @@ class AsyncCorpusLibrary:
     async def slice(self, start: int, stop: int) -> List[str]:
         """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped).
 
-        The range is probed shard by shard, since each shard may have been
-        opened by a different pooled reader.  A shard's part whose blocks
-        are all cached is served on the loop (it is bounded by what the
-        cache holds); the other parts go to the pool in one hop and are
-        read block by block there.
+        Served on the loop when every block of the range is cached (it is
+        then bounded by what the cache holds); otherwise read block by
+        block in one hop.
         """
         self._check_open()
-        start, stop = checked_range(start, stop, len(self))
-        bounds = [
-            (self._starts[shard_no] + lo, self._starts[shard_no] + hi)
-            for shard_no, lo, hi in split_range(self._starts, start, stop)
-        ]
-        parts = [self._cached(CorpusLibrary.probe_slice, lo, hi) for lo, hi in bounds]
-        missing = [bound for bound, part in zip(bounds, parts) if part is None]
-        if missing:
-            loaded = iter(
-                await self._call(lambda reader: [reader.slice(lo, hi) for lo, hi in missing])
-            )
-            parts = [next(loaded) if part is None else part for part in parts]
-        records: List[str] = []
-        for part in parts:
-            records += part  # type: ignore[operator]
+        records = self.library.probe_slice(start, stop)
+        if records is None:
+            records = await self._call(lambda: self.library.slice(start, stop))
         return records
 
     async def stream(
@@ -286,10 +219,9 @@ class AsyncCorpusLibrary:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Close every pooled reader (idempotent)."""
+        """Close the library (idempotent)."""
         self._closed = True
-        for reader in self._readers:
-            reader.close()
+        self.library.close()
 
     async def aclose(self) -> None:
         """Async alias of :meth:`close`."""

@@ -1,16 +1,22 @@
-"""Serving records out of a sharded library: :class:`ShardedCorpusStore`.
+""":class:`CorpusLibrary` — the one reader of a packed corpus, whatever its shape.
 
-The store is manifest-driven: ``len()`` and global-index → (shard, local)
-routing come straight from ``library.json``, so *no* shard file is opened
-until one of its records is actually requested (``open_shard_count`` makes
-that observable).  All shards share one LRU block-cache budget through
+``CorpusLibrary.open`` accepts a library directory, its ``library.json``
+manifest, or a bare ``.zss`` shard (served as a one-shard library).  The
+manifest routes: ``len()`` and global-index → (shard, local) resolution come
+straight from it, so *no* shard file is opened until one of its records is
+requested (``open_shard_count`` makes that observable).  All shards share
+one LRU block-cache budget through
 :class:`~repro.store.reader.BlockCacheView` — a library of 64 shards under
 ``cache_blocks=16`` holds at most 16 blocks in memory, not 1024.
 
-The class satisfies the :class:`~repro.store.protocol.RecordReader`
-protocol, so everything that serves records (screening, dataset loaders,
-the CLI) takes it interchangeably with ``CorpusStore`` and the flat
-``RandomAccessReader``.
+Each shard has one :class:`~repro.store.reader.ShardReader`, which reads
+blocks positionally, so one library serves concurrent loads from many
+threads; :class:`~repro.library.AsyncCorpusLibrary` wraps exactly one.  The
+class satisfies the :class:`~repro.store.protocol.RecordReader` protocol,
+so everything that serves records (screening, dataset loaders, the CLI)
+takes it interchangeably with a :class:`~repro.store.reader.ShardReader`
+and the flat ``RandomAccessReader``.  Flat ``.smi`` / ``.zsmi`` files stay
+with :func:`repro.store.open_reader`, which dispatches packed paths here.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
 from ..core.codec import ZSmilesCodec
-from ..errors import DictionaryMismatchError, ManifestError
-from ..store.format import DICTIONARY_HASH_META_KEY
+from ..errors import DictionaryMismatchError, LibraryError, ManifestError
+from ..store.format import DICTIONARY_HASH_META_KEY, STORE_SUFFIX
 from ..store.reader import (
     DEFAULT_CACHE_BLOCKS,
     BlockCache,
@@ -31,15 +37,16 @@ from ..store.reader import (
     ShardReader,
     checked_range,
     quarantine_rollup,
-    split_range,
 )
-from .manifest import LibraryManifest, resolve_manifest_path
+from .manifest import MANIFEST_NAME, LibraryManifest, ShardEntry, resolve_manifest_path
 
 PathLike = Union[str, Path]
 
 
-class ShardedCorpusStore(RecordAccessMixin):
-    """One logical corpus served out of the N shards a manifest describes.
+class CorpusLibrary(RecordAccessMixin):
+    """One logical corpus served out of the shards a manifest describes.
+
+    Construct through :meth:`open`, or directly over a manifest.
 
     Parameters
     ----------
@@ -51,17 +58,11 @@ class ShardedCorpusStore(RecordAccessMixin):
         Codec override; per-shard embedded dictionaries are used when omitted.
     cache_blocks:
         Shared LRU budget: the maximum number of blocks cached across *all*
-        shards together (ignored when *cache* is given).
+        shards together.
     verify_checksums:
         Validate block CRC-32s when a block is loaded.
     use_mmap:
         Serve shard block reads from read-only memory maps.
-    cache:
-        An externally owned :class:`~repro.store.reader.BlockCache`
-        replacing the store's private one, so several stores (e.g. an
-        async reader pool) share one budget.  Entries are keyed by resolved
-        shard path, so distinct libraries can share a cache safely —
-        provided the sharers decode with the same codec.
     """
 
     def __init__(
@@ -72,26 +73,63 @@ class ShardedCorpusStore(RecordAccessMixin):
         cache_blocks: int = DEFAULT_CACHE_BLOCKS,
         verify_checksums: bool = True,
         use_mmap: bool = False,
-        cache: Optional[BlockCache] = None,
     ):
         self.manifest = manifest
         self.root = Path(root)
+        #: What was opened: the manifest, or the bare ``.zss`` shard.
+        self.path = self.root / MANIFEST_NAME
         self._codec = codec
         self.verify_checksums = verify_checksums
         self.use_mmap = use_mmap
-        self._cache = cache if cache is not None else BlockCache(cache_blocks)
+        self._cache = BlockCache(cache_blocks)
         self._readers: List[Optional[ShardReader]] = [None] * manifest.shard_count
-        self._starts = [shard.start for shard in manifest.shards]
         self._open_lock = threading.Lock()
 
     @classmethod
-    def open(cls, path: PathLike, **kwargs: object) -> "ShardedCorpusStore":
-        """Open a library from its directory or its ``library.json`` path."""
+    def open(
+        cls,
+        source: PathLike,
+        codec: Optional[ZSmilesCodec] = None,
+        cache_blocks: int = DEFAULT_CACHE_BLOCKS,
+        verify_checksums: bool = True,
+        use_mmap: bool = False,
+    ) -> "CorpusLibrary":
+        """Open a library directory, a ``library.json``, or a bare ``.zss``."""
+        path = Path(source)
+        options = dict(
+            codec=codec,
+            cache_blocks=cache_blocks,
+            verify_checksums=verify_checksums,
+            use_mmap=use_mmap,
+        )
         manifest_path = resolve_manifest_path(path)
-        if manifest_path is None:
-            raise ManifestError(f"{path} is not a library directory or manifest")
-        manifest = LibraryManifest.load(manifest_path)
-        return cls(manifest, manifest_path.parent, **kwargs)  # type: ignore[arg-type]
+        if manifest_path is not None:
+            library = cls(LibraryManifest.load(manifest_path), manifest_path.parent, **options)
+            library.path = manifest_path
+            return library
+        if path.suffix == STORE_SUFFIX and path.is_file():
+            # The one-shard manifest comes from the reader the library
+            # keeps: one footer read and one dictionary parse.
+            cache = BlockCache(cache_blocks)
+            reader = ShardReader(
+                path,
+                codec=codec,
+                verify_checksums=verify_checksums,
+                use_mmap=use_mmap,
+                cache=BlockCacheView(cache, 0),
+            )
+            try:
+                manifest = LibraryManifest((ShardEntry.describe(path.name, 0, reader),))
+            except Exception:
+                reader.close()
+                raise
+            library = cls(manifest, path.parent, **options)
+            library._cache, library._readers[0], library.path = cache, reader, path
+            return library
+        raise LibraryError(
+            f"cannot open {path} as a corpus library: expected a library "
+            f"directory, a library.json manifest, or a {STORE_SUFFIX} shard"
+        )
 
     # ------------------------------------------------------------------ #
     # Shard management
@@ -103,31 +141,31 @@ class ShardedCorpusStore(RecordAccessMixin):
             with self._open_lock:
                 reader = self._readers[shard_no]
                 if reader is None:
-                    entry = self.manifest.shards[shard_no]
-                    shard_path = self.root / entry.name
-                    # Namespaced by resolved shard path, not shard number:
-                    # two libraries handed the same external cache= must
-                    # never collide on each other's block keys.
-                    namespace = str(shard_path.resolve())
-                    reader = ShardReader(
-                        shard_path,
-                        codec=self._codec,
-                        verify_checksums=self.verify_checksums,
-                        use_mmap=self.use_mmap,
-                        cache=BlockCacheView(self._cache, namespace),
-                    )
-                    if len(reader) != entry.records:
-                        actual = len(reader)
-                        reader.close()
-                        raise ManifestError(
-                            f"shard {entry.name!r} holds {actual} records but the "
-                            f"manifest promises {entry.records}"
-                        )
-                    self._check_shard_dictionary(reader, entry)
-                    self._readers[shard_no] = reader
+                    reader = self._readers[shard_no] = self._open_shard(shard_no)
         return reader
 
-    def _check_shard_dictionary(self, reader: ShardReader, entry) -> None:
+    def _open_shard(self, shard_no: int) -> ShardReader:
+        entry = self.manifest.shards[shard_no]
+        reader = ShardReader(
+            self.root / entry.name,
+            codec=self._codec,
+            verify_checksums=self.verify_checksums,
+            use_mmap=self.use_mmap,
+            cache=BlockCacheView(self._cache, shard_no),
+        )
+        try:
+            if len(reader) != entry.records:
+                raise ManifestError(
+                    f"shard {entry.name!r} holds {len(reader)} records but the "
+                    f"manifest promises {entry.records}"
+                )
+            self._check_shard_dictionary(reader, entry)
+        except Exception:
+            reader.close()
+            raise
+        return reader
+
+    def _check_shard_dictionary(self, reader: ShardReader, entry: ShardEntry) -> None:
         """Manifest-pinned dictionary hash must match the shard footer's.
 
         Cheap metadata comparison (no dictionary parse): catches a shard
@@ -145,7 +183,6 @@ class ShardedCorpusStore(RecordAccessMixin):
         if not isinstance(declared, str) or not declared:
             return
         if declared != identity.hash:
-            reader.close()
             raise DictionaryMismatchError(
                 f"shard {entry.name!r} was packed with dictionary "
                 f"{declared[:12]} but the manifest pins "
@@ -153,7 +190,8 @@ class ShardedCorpusStore(RecordAccessMixin):
             )
 
     def dictionary_identity(self):
-        """The dictionary identity the manifest pins, or ``None``."""
+        """The dictionary identity the manifest pins, or ``None`` (always
+        ``None`` for a bare ``.zss``, whose one-shard manifest pins none)."""
         return self.manifest.dictionary_identity()
 
     @property
@@ -213,7 +251,7 @@ class ShardedCorpusStore(RecordAccessMixin):
             if reader is not None:
                 reader.close()
 
-    def __enter__(self) -> "ShardedCorpusStore":
+    def __enter__(self) -> "CorpusLibrary":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -240,11 +278,31 @@ class ShardedCorpusStore(RecordAccessMixin):
 
         Each shard's part is read block by block (:meth:`ShardReader.slice`).
         """
-        start, stop = checked_range(start, stop, len(self))
         records: List[str] = []
-        for shard_no, lo, hi in split_range(self._starts, start, stop):
+        for shard_no, lo, hi in self._shard_spans(start, stop):
             records += self.shard(shard_no).slice(lo, hi)
         return records
+
+    def iter_all(self) -> Iterator[str]:
+        """Iterate over every record of every shard, in global order."""
+        for shard_no in range(self.shard_count):
+            yield from self.shard(shard_no).iter_all()
+
+    def _shard_spans(self, start: int, stop: int) -> Iterator[Tuple[int, int, int]]:
+        """``(shard, local start, local stop)`` for every shard the range
+        ``[start, stop)`` covers, after checking and clamping it."""
+        start, stop = checked_range(start, stop, len(self))
+        if start >= stop:
+            return
+        shards = self.manifest.shards
+        shard_no = self.manifest.locate(start)[0]
+        while start < stop:
+            entry = shards[shard_no]
+            upper = min(stop, entry.stop)
+            if upper > start:
+                yield shard_no, start - entry.start, upper - entry.start
+                start = upper
+            shard_no += 1
 
     # ------------------------------------------------------------------ #
     # Cache probes: no I/O, so an event loop may call them
@@ -252,9 +310,9 @@ class ShardedCorpusStore(RecordAccessMixin):
     def probe(self, index: int) -> Optional[str]:
         """The record at global *index* if its block is cached, else ``None``.
 
-        A shard this store has not opened counts as not cached: opening one
-        reads its footer and parses its dictionary, and a probe does no I/O
-        (see :meth:`ShardReader.probe`).
+        An unopened shard counts as not cached: opening one reads its footer
+        and parses its dictionary, and a probe does no I/O (see
+        :meth:`ShardReader.probe`).
         """
         shard_no, local = self.manifest.locate(index)
         reader = self._readers[shard_no]
@@ -266,9 +324,8 @@ class ShardedCorpusStore(RecordAccessMixin):
         All or nothing: every block is found before any record is served,
         so a range that is not wholly cached counts nothing.
         """
-        start, stop = checked_range(start, stop, len(self))
         found: List[Tuple[ShardReader, List[CachedSpan]]] = []
-        for shard_no, lo, hi in split_range(self._starts, start, stop):
+        for shard_no, lo, hi in self._shard_spans(start, stop):
             reader = self._readers[shard_no]
             spans = None if reader is None else reader.cached_spans(lo, hi)
             if spans is None:
@@ -278,8 +335,3 @@ class ShardedCorpusStore(RecordAccessMixin):
         for reader, spans in found:
             records += reader.decode_spans(spans)
         return records
-
-    def iter_all(self) -> Iterator[str]:
-        """Iterate over every record of every shard, in global order."""
-        for shard_no in range(self.shard_count):
-            yield from self.shard(shard_no).iter_all()

@@ -109,6 +109,19 @@ class ShardEntry:
             raise ManifestError(f"malformed shard entry: {obj!r}") from exc
         return entry
 
+    @classmethod
+    def describe(cls, name: str, start: int, reader) -> "ShardEntry":
+        """The entry of an opened :class:`~repro.store.reader.ShardReader`:
+        its footer's counts and its file's size."""
+        return cls(
+            name=name,
+            start=start,
+            records=len(reader),
+            blocks=reader.block_count,
+            records_per_block=reader.records_per_block,
+            file_bytes=reader.path.stat().st_size,
+        )
+
 
 @dataclass(frozen=True)
 class LibraryManifest:
@@ -283,16 +296,7 @@ class LibraryManifest:
                     f"shard {path} is not inside the library root {root}"
                 ) from exc
             with ShardReader(path) as reader:
-                entries.append(
-                    ShardEntry(
-                        name=name,
-                        start=start,
-                        records=len(reader),
-                        blocks=reader.block_count,
-                        records_per_block=reader.records_per_block,
-                        file_bytes=path.stat().st_size,
-                    )
-                )
+                entries.append(ShardEntry.describe(name, start, reader))
             start += entries[-1].records
         return cls(shards=tuple(entries), metadata=dict(metadata or {}))
 

@@ -17,7 +17,7 @@ place, a sans-IO core, under thin I/O drivers:
 * :class:`CorpusServer` (:mod:`repro.server.app`) — the asyncio server
   driver: it feeds the core's parser from ``asyncio`` streams and writes
   the core's heads, mounting an :class:`~repro.library.AsyncCorpusLibrary`
-  whose bounded reader pool is the backpressure.  Endpoints: ``/healthz``,
+  whose bound on concurrent block loads is the backpressure.  Endpoints: ``/healthz``,
   ``/stats``, ``/metrics``, ``/records/{i}``, ``/records:batch``,
   ``/records:sample`` and the chunked ``/records?start=&stop=`` stream.
 * :class:`CorpusClient` / :class:`FailoverCorpusClient`

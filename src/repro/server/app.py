@@ -1,8 +1,8 @@
 """The asyncio HTTP serving front: :class:`CorpusServer`.
 
 The server mounts an :class:`~repro.library.AsyncCorpusLibrary` — records
-already in its block cache are served on the loop, and the bounded reader
-pool *is* the backpressure: at most ``readers`` blocking block loads run at
+already in its block cache are served on the loop, and its load bound
+*is* the backpressure: at most ``readers`` blocking block loads run at
 once, no matter how many sockets are open — and speaks a deliberately small
 slice of HTTP/1.1 over plain ``asyncio`` streams (stdlib only, no
 frameworks):

@@ -169,8 +169,7 @@ class CorpusClient(_Endpoints):
         self.retry = self._core.retry
         #: The kept-alive socket (None before the first call and after a drop).
         self._conn: Optional[socket.socket] = None
-        # Serializes request/response cycles on the shared connection (the
-        # local readers' ShardReader._io_lock plays the same role).
+        # Serializes request/response cycles on the shared connection.
         self._lock = threading.RLock()
 
     def _open(self) -> socket.socket:

@@ -8,18 +8,19 @@ an optional embedded dictionary:
 * :class:`ShardWriter` / :func:`pack_records` / :func:`pack_file` — pack a
   corpus through the :class:`~repro.engine.ZSmilesEngine` batch surface;
   ``backend="auto"`` / ``jobs`` parallelize packing across blocks,
-* :class:`ShardReader` / :class:`CorpusStore` — O(1) record → block lookup,
-  thread-safe LRU-cached block decode (capacity via ``cache_blocks``),
-  optional mmap-backed reads (``use_mmap=True``), ``get`` / ``get_many`` /
-  ``slice`` / ``iter_all``,
+* :class:`ShardReader` — one shard, from a path or an open file object:
+  O(1) record → block lookup, thread-safe LRU-cached block decode
+  (capacity via ``cache_blocks``), positional block reads that concurrent
+  threads share, optional mmap-backed reads (``use_mmap=True``), ``get`` /
+  ``get_many`` / ``slice`` / ``iter_all``,
 * :class:`RecordReader` / :func:`open_reader` — the protocol every serving
   layer satisfies; ``open_reader`` dispatches by path shape.
 
-This module is the *single-file* layer.  Choosing a layout — flat
-``.zsmi`` fallback, one ``.zss`` shard, or a sharded ``library.json``
-corpus with async serving — is covered by the serving guide in
-:mod:`repro.library`, which builds its :class:`~repro.library.CorpusLibrary`
-facade on the readers defined here.
+This module is the *single-file* layer.  A corpus of any shape — one
+``.zss`` shard or a sharded ``library.json`` corpus, with async serving —
+is served by :class:`~repro.library.CorpusLibrary`, built on the shard
+reader defined here; choosing a layout is covered by the serving guide in
+:mod:`repro.library`.
 
 Failure modes & recovery
 ------------------------
@@ -35,9 +36,8 @@ defect has a *typed* detection path, a degraded-service mode, and a repair:
     shard keeps serving (``get``/``get_many``/``slice`` outside the bad
     block succeed normally) and repeat touches of the bad block fail fast
     without re-reading the disk.  ``quarantine_stats()`` (on
-    :class:`ShardReader`, :class:`CorpusStore`, the library facades, and
-    the server's ``/stats`` payload) reports what is quarantined and how
-    often it was hit.  Replica-aware clients treat the error as retryable
+    :class:`ShardReader`, the libraries, and the server's ``/stats``
+    payload) reports what is quarantined and how often it was hit.  Replica-aware clients treat the error as retryable
     (:func:`repro.server.protocol.is_retryable`): a read of a quarantined
     range fails over to a replica holding clean bytes, so the fleet as a
     whole self-heals the degraded read.
@@ -85,7 +85,6 @@ from .reader import (
     DEFAULT_CACHE_BLOCKS,
     BlockCache,
     BlockCacheView,
-    CorpusStore,
     ShardReader,
     read_store_records,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "BlockCache",
     "BlockCacheView",
     "BlockInfo",
-    "CorpusStore",
     "FsckIssue",
     "FsckReport",
     "RecordReader",

@@ -4,11 +4,11 @@ Callers that serve records — the screening campaign, the CLI ``get`` /
 ``query`` commands, dataset loaders — should accept any
 :class:`RecordReader` instead of a concrete class:
 
-* :class:`~repro.library.CorpusLibrary` / ``ShardedCorpusStore`` — the
-  sharded serving layer over ``library.json`` manifests (preferred at
-  scale; see :mod:`repro.library` for the full serving guide),
-* :class:`~repro.store.reader.CorpusStore` / ``ShardReader`` — one
-  block-compressed ``.zss`` container,
+* :class:`~repro.library.CorpusLibrary` — any packed corpus: a
+  ``library.json`` manifest over N ``.zss`` shards, or one bare ``.zss``
+  (see :mod:`repro.library` for the full serving guide),
+* :class:`~repro.store.reader.ShardReader` — one block-compressed ``.zss``
+  container, from a path or an open file object,
 * :class:`~repro.core.random_access.RandomAccessReader` — the documented
   "flat" fallback over line-oriented ``.smi`` / ``.zsmi`` files with a
   ``.zsx`` sidecar index,
@@ -17,8 +17,8 @@ Callers that serve records — the screening campaign, the CLI ``get`` /
 
 :func:`open_reader` picks the right implementation from the path:
 ``http://`` / ``https://`` URLs dispatch to the corpus client, library
-directories and ``.json`` manifests to the library, ``.zss`` files to the
-store, anything else to the flat reader.  Every implementation is a
+directories, ``.json`` manifests and ``.zss`` files to the library,
+anything else to the flat reader.  Every implementation is a
 context manager, so serving code can uniformly ``with open_reader(...) as
 reader:``.
 """
@@ -30,8 +30,6 @@ from typing import Iterator, List, Optional, Protocol, Sequence, Union, runtime_
 
 from ..core.codec import ZSmilesCodec
 from ..core.random_access import RandomAccessReader
-from .format import STORE_SUFFIX
-from .reader import CorpusStore
 
 PathLike = Union[str, Path]
 
@@ -96,9 +94,8 @@ def open_reader(
     URLs, or one comma-separated string (``"http://a:1,http://b:2"``) —
     open as a :class:`~repro.server.FailoverCorpusClient` that round-robins
     across the replicas and fails over on retryable outcomes.  A library
-    directory or ``.json`` manifest opens as a
-    :class:`~repro.library.CorpusLibrary` (sharded serving); ``.zss`` files
-    open as a :class:`CorpusStore`; anything else opens as the flat
+    directory, a ``.json`` manifest or a ``.zss`` file opens as a
+    :class:`~repro.library.CorpusLibrary`; anything else opens as the flat
     :class:`RandomAccessReader` fallback (building its line index on the
     fly when no ``.zsx`` sidecar is supplied).
 
@@ -123,10 +120,8 @@ def open_reader(
         return CorpusClient(replica_urls[0], retry=retry)
     path = Path(path)
     # Imported lazily: repro.library sits on top of this module.
-    from ..library import CorpusLibrary, resolve_manifest_path
+    from ..library import CorpusLibrary, is_packed_path
 
-    if resolve_manifest_path(path) is not None:
+    if is_packed_path(path):
         return CorpusLibrary.open(path, codec=codec)
-    if path.suffix == STORE_SUFFIX:
-        return CorpusStore(path, codec=codec)
     return RandomAccessReader(path, codec=codec)

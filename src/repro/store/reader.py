@@ -1,14 +1,15 @@
 """Reading records back out of ``.zss`` shards.
 
 :class:`ShardReader` serves one shard with O(1) record → block lookup
-(``record // records_per_block``).  :class:`CorpusStore` composes one or more
-shards behind the same :class:`~repro.store.protocol.RecordReader` surface as
-the flat :class:`~repro.core.random_access.RandomAccessReader`.
+(``record // records_per_block``) behind the same
+:class:`~repro.store.protocol.RecordReader` surface as the flat
+:class:`~repro.core.random_access.RandomAccessReader`.  A corpus of several
+shards is a :class:`~repro.library.CorpusLibrary`.
 
 The block is the unit of I/O, of integrity checking and of caching, but not
-of decoding.  A cache miss seeks to the block's footer-recorded offset, reads
-``length`` bytes (never the whole file), checks the CRC-32 and splits the
-payload into its stored records — once per block load.  The cached entry
+of decoding.  A cache miss reads the block's ``length`` bytes at its
+footer-recorded offset (never the whole file), checks the CRC-32 and splits
+the payload into its stored records — once per block load.  The cached entry
 holds those verified stored records plus the records decoded so far: a
 record decodes the first time it is read and is kept, so ``get(i)`` decodes
 one line, a warm hot set decodes nothing, and block-wise readers (``slice``,
@@ -18,6 +19,12 @@ stored records of the same entry, so a reader has one cache and one budget.
 ``probe`` and ``cached_spans`` read the cache without any I/O, so an event
 loop can serve cached records itself (see
 :class:`~repro.library.AsyncCorpusLibrary`).
+
+A reader serves concurrent loads from many threads.  A shard it opened from
+a path is read positionally (``os.pread``, or a slice of its memory map),
+so loads do not serialize on a seek position and the syscall runs without
+the GIL; a caller's file object is read with ``seek`` + ``read`` under the
+reader's lock.
 
 Records are independent (the paper's separable SMILES), so a record that
 decodes is served even when another record of its block would raise
@@ -31,10 +38,10 @@ byte-identical to the per-line reference decompressor.
 from __future__ import annotations
 
 import mmap as _mmap_module
+import os
 import random
 import threading
 import time
-from bisect import bisect_right
 from collections import OrderedDict
 from pathlib import Path
 from typing import BinaryIO, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -94,31 +101,14 @@ def checked_range(start: int, stop: int, total: int) -> Tuple[int, int]:
     return start, min(stop, total)
 
 
-def split_range(starts: Sequence[int], start: int, stop: int) -> Iterator[Tuple[int, int, int]]:
-    """``(shard, local start, local stop)`` for every shard ``[start, stop)`` covers.
-
-    *starts* holds each shard's first global index, ascending; the range
-    must already be checked and clamped.  Empty shards are skipped.
-    """
-    shard_no = bisect_right(starts, start) - 1
-    while start < stop:
-        base = starts[shard_no]
-        upper = min(stop, starts[shard_no + 1]) if shard_no + 1 < len(starts) else stop
-        if upper > start:
-            yield shard_no, start - base, upper - base
-            start = upper
-        shard_no += 1
-
-
 class BlockCache:
     """Thread-safe LRU cache mapping a block key -> its cached entry.
 
     Keys are arbitrary hashable values: a lone :class:`ShardReader` uses plain
-    block numbers, while :class:`~repro.library.ShardedCorpusStore` shares one
-    cache across shards through :class:`BlockCacheView`, whose keys are
-    ``(shard path, block)`` pairs — one capacity budget for the whole library
-    (or several libraries sharing a cache).  :class:`ShardReader` stores one
-    :class:`CachedBlock` per block.
+    block numbers, while :class:`~repro.library.CorpusLibrary` shares one
+    cache across its shards through :class:`BlockCacheView`, whose keys are
+    ``(shard number, block)`` pairs — one capacity budget for the whole
+    library.  :class:`ShardReader` stores one :class:`CachedBlock` per block.
     """
 
     def __init__(self, capacity: int):
@@ -293,8 +283,59 @@ class RecordAccessMixin:
         return indices, self.get_many(indices)
 
 
+class _ShardFile:
+    """One opening of a shard file: the handle, its optional memory map, and
+    the positional reads in flight on it.
+
+    A file the reader opened itself (*owned*) is read positionally, outside
+    the reader's lock; a caller's file object is read with ``seek`` +
+    ``read`` under it.  A retired file (see :meth:`ShardReader.close`) is
+    closed by whichever comes last of the close and its last read.
+    """
+
+    __slots__ = ("handle", "owned", "map", "reads", "retired")
+
+    def __init__(self, handle: BinaryIO, owned: bool, use_mmap: bool):
+        self.handle = handle
+        self.owned = owned
+        self.map: Optional[_mmap_module.mmap] = None
+        self.reads = 0
+        self.retired = False
+        if use_mmap:
+            try:
+                fileno = handle.fileno()
+            except (AttributeError, OSError, ValueError) as exc:
+                raise StoreError(
+                    "use_mmap requires a real file (the source has no file descriptor)"
+                ) from exc
+            self.map = _mmap_module.mmap(fileno, 0, access=_mmap_module.ACCESS_READ)
+
+    def read(self, offset: int, length: int) -> bytes:
+        if self.map is not None:
+            return self.map[offset : offset + length]
+        if self.owned:
+            return os.pread(self.handle.fileno(), length, offset)
+        self.handle.seek(offset)
+        return self.handle.read(length)
+
+    def close(self) -> None:
+        if self.map is not None:
+            self.map.close()
+        if self.owned:
+            self.handle.close()
+
+
 class ShardReader(RecordAccessMixin):
     """Random access to the records of one ``.zss`` shard.
+
+    One reader serves concurrent loads from many threads.  A shard opened
+    from a path is read with one ``os.pread`` (or a slice of its memory map)
+    per block, outside ``_io_lock``; a caller's file object — a ``BytesIO``,
+    or a :class:`~repro.faults.io.FaultyFile` whose reads must not bypass
+    it — keeps a shared seek position, so its ``seek`` + ``read`` run under
+    the lock.  The lock guards only the (re)open, the close and the
+    counters.  :meth:`close` never releases a file a read is still using:
+    the last read in flight closes it.
 
     Parameters
     ----------
@@ -310,9 +351,9 @@ class ShardReader(RecordAccessMixin):
     verify_checksums:
         Validate each block's CRC-32 when it is loaded.
     use_mmap:
-        Serve block reads out of a read-only memory map instead of
-        ``seek``/``read`` on the file handle.  Byte-identical to the
-        handle path; requires a real file (one with a file descriptor).
+        Serve block reads out of a read-only memory map instead of the
+        file.  Byte-identical to the file path; requires a real file (one
+        with a file descriptor).
     cache:
         An externally owned cache (:class:`BlockCache` or
         :class:`BlockCacheView`) replacing the reader's private one, so
@@ -331,26 +372,22 @@ class ShardReader(RecordAccessMixin):
         self.path: Optional[Path]
         if hasattr(source, "read"):
             self.path = None
-            self._handle: Optional[BinaryIO] = source  # type: ignore[assignment]
-            self._owns_handle = False
+            handle: BinaryIO = source  # type: ignore[assignment]
         else:
             self.path = Path(source)
-            self._handle = open(self.path, "rb")
-            self._owns_handle = True
+            handle = open(self.path, "rb")
         self.use_mmap = use_mmap
-        self._mmap: Optional[_mmap_module.mmap] = None
         self._io_lock = threading.Lock()
         try:
-            self.footer: StoreFooter = read_footer(self._handle)
-            if use_mmap:
-                self._init_mmap()
+            self.footer: StoreFooter = read_footer(handle)
+            self.codec = codec if codec is not None else self._embedded_codec()
+            self._file: Optional[_ShardFile] = _ShardFile(handle, self.path is not None, use_mmap)
         except Exception:
-            if self._owns_handle:
-                self._handle.close()
+            if self.path is not None:
+                handle.close()
             raise
         self.verify_checksums = verify_checksums
         self._cache = cache if cache is not None else BlockCache(cache_blocks)
-        self.codec = codec if codec is not None else self._embedded_codec()
         self._kernel = None  # lazy BlockKernel, rebuilt if the codec is swapped
         self.blocks_decoded = 0
         self.bytes_read = 0
@@ -386,38 +423,19 @@ class ShardReader(RecordAccessMixin):
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def open(self) -> None:
-        """(Re)open the underlying file (idempotent; path-backed readers only)."""
-        if self._handle is None:
-            if self.path is None:
-                raise StoreFormatError("cannot reopen a reader over a closed file object")
-            self._handle = open(self.path, "rb")
-        if self.use_mmap and self._mmap is None:
-            self._init_mmap()
-
     def close(self) -> None:
-        """Close the underlying file (idempotent; the cache stays warm).
+        """Close the shard file (idempotent; the cache stays warm).
 
-        Takes the I/O lock so a close never yanks the handle or mmap out
-        from under an in-flight block read on another thread.
+        A path-backed reader reopens on its next block load.  A file that
+        reads are still using is retired instead, and the last of those
+        reads closes it.
         """
         with self._io_lock:
-            if self._mmap is not None:
-                self._mmap.close()
-                self._mmap = None
-            if self._handle is not None and self._owns_handle:
-                self._handle.close()
-            self._handle = None
-
-    def _init_mmap(self) -> None:
-        assert self._handle is not None
-        try:
-            fileno = self._handle.fileno()
-        except (AttributeError, OSError, ValueError) as exc:
-            raise StoreError(
-                "use_mmap requires a real file (the source has no file descriptor)"
-            ) from exc
-        self._mmap = _mmap_module.mmap(fileno, 0, access=_mmap_module.ACCESS_READ)
+            file, self._file = self._file, None
+            if file is not None:
+                file.retired = True
+                if not file.reads:
+                    file.close()
 
     def __enter__(self) -> "ShardReader":
         return self
@@ -449,7 +467,7 @@ class ShardReader(RecordAccessMixin):
         return self._cache.misses
 
     def cache_stats(self) -> Dict[str, int]:
-        """Block cache counters (shared aggregates for pooled caches)."""
+        """Block cache counters (the shared aggregates for a library's shard)."""
         return self._cache.stats()
 
     def quarantine_stats(self) -> Dict[str, object]:
@@ -575,22 +593,34 @@ class ShardReader(RecordAccessMixin):
             serialization.verify_identity(table, declared, source=self.path)
         return ZSmilesCodec(table)
 
+    def _read(self, offset: int, length: int) -> bytes:
+        """*length* bytes at *offset*, reopening a closed path-backed shard."""
+        with self._io_lock:
+            file = self._file
+            if file is None:
+                if self.path is None:
+                    raise StoreFormatError("cannot reopen a reader over a closed file object")
+                handle = open(self.path, "rb")
+                try:
+                    file = self._file = _ShardFile(handle, True, self.use_mmap)
+                except Exception:
+                    handle.close()
+                    raise
+            if not file.owned:
+                return file.read(offset, length)
+            file.reads += 1
+        try:
+            return file.read(offset, length)
+        finally:
+            with self._io_lock:
+                file.reads -= 1
+                if file.retired and not file.reads:
+                    file.close()
+
     def _load_payload(self, block: int) -> List[str]:
         """Read and split one block payload (stored records, not decompressed)."""
         info = self.footer.blocks[block]
-        # Seek-then-read on a shared handle is a critical section: concurrent
-        # readers interleaving seeks would hand each other the wrong bytes.
-        # The mmap path slices without seeking but shares the lock so the
-        # lazy (re)open and the counters stay consistent too.
-        with self._io_lock:
-            self.open()
-            if self.use_mmap:
-                assert self._mmap is not None
-                payload = bytes(self._mmap[info.offset : info.offset + info.length])
-            else:
-                assert self._handle is not None
-                self._handle.seek(info.offset)
-                payload = self._handle.read(info.length)
+        payload = self._read(info.offset, info.length)
         self._metric_reads.inc()
         self._metric_read_bytes.inc(len(payload))
         if len(payload) != info.length:
@@ -691,10 +721,11 @@ def quarantine_rollup(
 ) -> Dict[str, object]:
     """The multi-shard ``quarantine_stats()`` payload.
 
-    *shards* holds ``(shard key, quarantined blocks)`` pairs, a key possibly
-    several times (pooled readers, fleet workers); their blocks union per
-    key, so a block two readers both quarantined counts once.  *hits* is
-    the summed ``quarantine_hits``.  Keys without blocks are left out.
+    *shards* holds ``(shard key, quarantined blocks)`` pairs.  A key repeats
+    only across fleet workers, each serving its own reader of the same
+    shard; their blocks union per key, so a block two workers both
+    quarantined counts once.  *hits* is the summed ``quarantine_hits``.
+    Keys without blocks are left out.
     """
     union: Dict[Hashable, set] = {}
     for key, blocks in shards:
@@ -709,110 +740,7 @@ def quarantine_rollup(
     }
 
 
-class CorpusStore(RecordAccessMixin):
-    """One logical corpus over one or more ``.zss`` shards.
-
-    Record indices are global: shard boundaries are resolved with a cumulative
-    offset table (bisect over shards, O(1) block lookup within a shard).  A
-    single path behaves exactly like a :class:`ShardReader` with the protocol
-    surface of :class:`~repro.core.random_access.RandomAccessReader`.
-    """
-
-    def __init__(
-        self,
-        paths: Union[PathLike, BinaryIO, Sequence[Union[PathLike, BinaryIO]]],
-        codec: Optional[ZSmilesCodec] = None,
-        cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-        verify_checksums: bool = True,
-        use_mmap: bool = False,
-    ):
-        if isinstance(paths, (str, Path)) or hasattr(paths, "read"):
-            sources: List[Union[PathLike, BinaryIO]] = [paths]  # type: ignore[list-item]
-        else:
-            sources = list(paths)  # type: ignore[arg-type]
-        if not sources:
-            raise StoreFormatError("CorpusStore needs at least one shard")
-        self.shards: List[ShardReader] = []
-        try:
-            for source in sources:
-                self.shards.append(
-                    ShardReader(
-                        source,
-                        codec=codec,
-                        cache_blocks=cache_blocks,
-                        verify_checksums=verify_checksums,
-                        use_mmap=use_mmap,
-                    )
-                )
-        except Exception:
-            for shard in self.shards:
-                shard.close()
-            raise
-        self._starts: List[int] = []
-        total = 0
-        for shard in self.shards:
-            self._starts.append(total)
-            total += len(shard)
-        self._total = total
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        for shard in self.shards:
-            shard.close()
-
-    def __enter__(self) -> "CorpusStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # Access
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self._total
-
-    def _locate(self, index: int) -> tuple[ShardReader, int]:
-        if not 0 <= index < self._total:
-            raise RandomAccessError(f"record {index} out of range [0, {self._total})")
-        shard_no = bisect_right(self._starts, index) - 1
-        return self.shards[shard_no], index - self._starts[shard_no]
-
-    def get(self, index: int) -> str:
-        """The record at global *index*."""
-        shard, local = self._locate(index)
-        return shard.get(local)
-
-    def get_raw(self, index: int) -> str:
-        """The stored (compressed) record at global *index*."""
-        shard, local = self._locate(index)
-        return shard.get_raw(local)
-
-    def slice(self, start: int, stop: int) -> List[str]:
-        """Records ``start`` (inclusive) to ``stop`` (exclusive, clamped), block by block."""
-        start, stop = checked_range(start, stop, self._total)
-        records: List[str] = []
-        for shard_no, lo, hi in split_range(self._starts, start, stop):
-            records += self.shards[shard_no].slice(lo, hi)
-        return records
-
-    def quarantine_stats(self) -> Dict[str, object]:
-        """Aggregate quarantined-block counters across every shard."""
-        stats = [shard.quarantine_stats() for shard in self.shards]
-        return quarantine_rollup(
-            ((shard_no, s["blocks"]) for shard_no, s in enumerate(stats)),
-            sum(s["quarantine_hits"] for s in stats),
-        )
-
-    def iter_all(self) -> Iterator[str]:
-        """Iterate over every record of every shard, in order."""
-        for shard in self.shards:
-            yield from shard.iter_all()
-
-
 def read_store_records(source: Union[PathLike, BinaryIO], codec: Optional[ZSmilesCodec] = None) -> List[str]:
-    """Eagerly read every record of a packed corpus (convenience helper)."""
-    with CorpusStore(source, codec=codec) as store:
-        return list(store.iter_all())
+    """Eagerly read every record of one ``.zss`` shard (convenience helper)."""
+    with ShardReader(source, codec=codec) as reader:
+        return list(reader.iter_all())

@@ -24,7 +24,7 @@ from repro.curation import (
 )
 from repro.curation.filters import length_filter, strip_filter
 from repro.errors import CurationError
-from repro.store import CorpusStore
+from repro.library import CorpusLibrary
 
 records_strategy = st.lists(
     st.text(alphabet=st.sampled_from("CNOcno()=#1"), min_size=0, max_size=12),
@@ -142,7 +142,7 @@ class TestSinks:
         unique = first_occurrences(corpus)
         assert stats.records_out == len(unique)
         assert stats.stages[DEDUP_STAGE].rejected == len(source) - len(unique)
-        with CorpusStore(out) as store:
+        with CorpusLibrary.open(out) as store:
             assert list(store.iter_all()) == unique
 
     def test_tee_feeds_every_record(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dictionary import serialization
 from repro.engine import ZSmilesEngine
 from repro.library import pack_library
 from repro.store import pack_records
@@ -28,6 +29,20 @@ def single_shard_path(tmp_path_factory, corpus, engine):
     path = tmp_path_factory.mktemp("single") / "corpus.zss"
     pack_records(path, corpus, engine, records_per_block=8)
     return path
+
+
+@pytest.fixture()
+def dictionary_parses(monkeypatch):
+    """Every embedded-dictionary parse made from now on, one entry each."""
+    parses: list = []
+    loads = serialization.loads
+
+    def counting(*args, **kwargs):
+        parses.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(serialization, "loads", counting)
+    return parses
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Async serving surface: async results must equal the sync ones, byte for byte.
 
 Records whose blocks are cached are served on the event loop; only block
-loads hop to the reader pool.  The ``hops`` fixture counts those hops.
+loads hop to a worker thread.  The ``hops`` fixture counts those hops.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import threading
 import pytest
 
 from repro.errors import LibraryError, RandomAccessError, ReproError
-from repro.library import AsyncCorpusLibrary, CorpusLibrary
+from repro.library import AsyncCorpusLibrary, CorpusLibrary, pack_library
 from repro.server import BackgroundServer, CorpusClient
+from repro.store import ShardReader
+from repro.store import reader as reader_module
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +42,19 @@ def hops(monkeypatch):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def count_shard_readers(monkeypatch) -> list:
+    """Every ShardReader constructed from now on."""
+    opened: list = []
+    init = ShardReader.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append(self)
+
+    monkeypatch.setattr(ShardReader, "__init__", recording)
+    return opened
 
 
 class TestAsyncParity:
@@ -90,22 +105,43 @@ class TestAsyncParity:
 
 class TestAsyncLifecycle:
     def test_pool_shares_one_cache_budget(self, library_dir, reference):
-        """A block decoded by any pooled reader is a cache hit for all."""
+        """Every load of the pool goes through the one library's one cache."""
 
         async def main():
             async with AsyncCorpusLibrary.open(
                 library_dir, pool_size=3, cache_blocks=2
             ) as lib:
-                for _ in range(6):  # same record through rotating readers
+                for _ in range(6):
                     assert await lib.get(0) == reference[0]
-                caches = {id(reader.store._cache) for reader in lib._readers}
-                assert len(caches) == 1          # one shared BlockCache
-                shared = lib._readers[0].store._cache
+                await lib.get_many(range(len(reference)))   # every shard, 3 threads
+                shared = lib.library._cache
+                assert lib.library.shard(0)._cache.shared is shared
                 assert shared.capacity == 2
                 assert len(shared) <= 2
                 assert shared.hits >= 5          # only the first get decoded
 
         run(main())
+
+    def test_one_library_parses_each_dictionary_once(
+        self, tmp_path, corpus, engine, monkeypatch, dictionary_parses
+    ):
+        """The pool shares one reader per shard: concurrent batches over a
+        4-shard library open 4 shard readers and parse 4 dictionaries."""
+        directory = tmp_path / "four.library"
+        pack_library(directory, corpus, engine, shards=4, records_per_block=8)
+        dictionary_parses.clear()
+        opened = count_shard_readers(monkeypatch)
+
+        async def main():
+            async with AsyncCorpusLibrary.open(directory, pool_size=4) as lib:
+                batches = [range(k, len(corpus), 7) for k in range(7)]
+                results = await asyncio.gather(*(lib.get_many(b) for b in batches))
+                assert results == [[corpus[i] for i in b] for b in batches]
+                assert lib.library.open_shard_count == 4
+
+        run(main())
+        assert len(dictionary_parses) == 4
+        assert len(opened) == 4
 
     def test_pool_size_and_validation(self, library_dir):
         async def main():
@@ -157,8 +193,8 @@ class TestCachedReadsOnTheLoop:
         run(main())
 
     def test_sequential_repeat_get_makes_no_hop(self, library_dir, reference, hops):
-        """Whichever pooled reader loaded the block, the next get is served
-        on the loop (the pool hands out its last idle reader, not its first)."""
+        """Once a block is loaded, the next gets of its records are served
+        on the loop."""
 
         async def main():
             async with AsyncCorpusLibrary.open(library_dir, pool_size=4) as lib:
@@ -284,6 +320,60 @@ class TestCachedReadsOnTheLoop:
         assert not thread.is_alive()
         assert not failures, failures
         assert served_on_loop[0] > 0
+
+
+def track_shard_files(monkeypatch) -> list:
+    """Every shard file a ShardReader opens from now on."""
+    files: list = []
+
+    class Tracked(reader_module._ShardFile):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            files.append(self)
+
+    monkeypatch.setattr(reader_module, "_ShardFile", Tracked)
+    return files
+
+
+class TestCloseRaces:
+    @pytest.mark.parametrize("use_mmap", [False, True])
+    def test_close_during_a_load_leaves_no_file_open(
+        self, library_dir, reference, monkeypatch, use_mmap
+    ):
+        """close() while a cold load waits in its worker thread: the load
+        then reopens its shard, and the re-close after it closes that file
+        again, so no reader keeps a handle, a map or a retired file."""
+        files = track_shard_files(monkeypatch)
+        entered, release = threading.Event(), threading.Event()
+        load = ShardReader._load_payload
+
+        def held(reader, block):
+            entered.set()
+            assert release.wait(timeout=30)
+            return load(reader, block)
+
+        monkeypatch.setattr(ShardReader, "_load_payload", held)
+
+        async def main():
+            lib = AsyncCorpusLibrary.open(library_dir, pool_size=2, use_mmap=use_mmap)
+            read = asyncio.ensure_future(lib.get(45))
+            assert await asyncio.to_thread(entered.wait, 30)
+            lib.close()
+            release.set()
+            assert await read == reference[45]
+            return lib.library
+
+        library = run(main())
+        opened = [reader for reader in library._readers if reader is not None]
+        assert len(opened) == 1
+        assert all(reader._file is None for reader in opened)
+        assert len(files) == 2                      # the first open, then the reopen
+        for file in files:
+            assert file.handle.closed
+            assert (file.map is None) == (not use_mmap)
+            assert file.map is None or file.map.closed
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,9 @@
-"""Sharded serving: parity with the single-shard store, lazy opens, caching.
+"""Sharded serving: parity with the single-shard reader, lazy opens, caching.
 
 The acceptance criterion lives here: records read through
-``ShardedCorpusStore`` — any shard count, mmap on or off — and through the
-``CorpusLibrary`` facade are byte-identical to a single-shard ``CorpusStore``
-over the same corpus.
+``CorpusLibrary`` — any shard count, mmap on or off, a library or a bare
+``.zss`` — are byte-identical to a ``ShardReader`` over the whole corpus in
+one shard.
 """
 
 from __future__ import annotations
@@ -11,15 +11,15 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import LibraryError, ManifestError, RandomAccessError
-from repro.library import CorpusLibrary, LibraryManifest, ShardedCorpusStore, pack_library
-from repro.store import CorpusStore, RecordReader, open_reader
+from repro.library import CorpusLibrary, LibraryManifest, pack_library
+from repro.store import RecordReader, ShardReader, open_reader
 
 
 @pytest.fixture(scope="module")
 def reference(single_shard_path, corpus):
-    """Every record as served by the reference single-shard CorpusStore."""
-    with CorpusStore(single_shard_path) as store:
-        records = list(store.iter_all())
+    """Every record as served by the reference single-shard ShardReader."""
+    with ShardReader(single_shard_path) as reader:
+        records = list(reader.iter_all())
     assert len(records) == len(corpus)
     return records
 
@@ -33,7 +33,7 @@ class TestCrossShardParity:
         directory = tmp_path_factory.mktemp("parity") / f"lib-{shards}-{use_mmap}"
         info = pack_library(directory, corpus, engine, shards=shards, records_per_block=8)
         assert info.shard_count == min(shards, len(corpus))
-        with ShardedCorpusStore.open(directory, use_mmap=use_mmap) as store:
+        with CorpusLibrary.open(directory, use_mmap=use_mmap) as store:
             assert len(store) == len(reference)
             assert list(store.iter_all()) == reference
             assert store.get_many(range(len(reference))) == reference
@@ -43,7 +43,7 @@ class TestCrossShardParity:
             assert store.slice(37, 51) == reference[37:51]
 
     def test_raw_records_match_single_shard(self, library_dir, single_shard_path):
-        with ShardedCorpusStore.open(library_dir) as store, CorpusStore(
+        with CorpusLibrary.open(library_dir) as store, ShardReader(
             single_shard_path
         ) as ref:
             for index in (0, 39, 40, 80, 119):
@@ -61,10 +61,22 @@ class TestCrossShardParity:
             assert lib.shard_count == 1
             assert list(lib.iter_all()) == reference
 
+    def test_bare_zss_is_opened_once(self, single_shard_path, reference, dictionary_parses):
+        """The one-shard manifest comes from the reader the library keeps:
+        one footer read and one dictionary parse serve the open and the
+        reads after it.  The manifest pins no identity."""
+        with CorpusLibrary.open(single_shard_path) as lib:
+            assert lib.open_shard_count == 1
+            assert lib.get(0) == reference[0]
+            assert lib.manifest.shards[0].file_bytes == single_shard_path.stat().st_size
+            assert lib.dictionary_identity() is None
+            assert lib.path == single_shard_path
+        assert len(dictionary_parses) == 1
+
 
 class TestServingBehavior:
     def test_out_of_range(self, library_dir):
-        with ShardedCorpusStore.open(library_dir) as store:
+        with CorpusLibrary.open(library_dir) as store:
             with pytest.raises(RandomAccessError):
                 store.get(len(store))
             with pytest.raises(RandomAccessError):
@@ -73,7 +85,7 @@ class TestServingBehavior:
                 store.slice(-1, 4)
 
     def test_lazy_shard_open(self, library_dir, reference):
-        store = ShardedCorpusStore.open(library_dir)
+        store = CorpusLibrary.open(library_dir)
         try:
             assert len(store) == len(reference)      # routing needs no file I/O
             assert store.open_shard_count == 0
@@ -86,7 +98,7 @@ class TestServingBehavior:
 
     def test_shared_lru_budget_across_shards(self, library_dir, reference):
         """N shards share ONE cache budget instead of hoarding one each."""
-        with ShardedCorpusStore.open(library_dir, cache_blocks=2) as store:
+        with CorpusLibrary.open(library_dir, cache_blocks=2) as store:
             assert store.cache_capacity == 2
             # Touch one block in every shard, then some more blocks.
             for index in (0, 40, 80, 8, 48, 88):
@@ -95,7 +107,7 @@ class TestServingBehavior:
             assert store.cached_blocks <= 2
 
     def test_cache_hits_counted_across_shards(self, library_dir, reference):
-        with ShardedCorpusStore.open(library_dir) as store:
+        with CorpusLibrary.open(library_dir) as store:
             assert store.get(0) == reference[0]
             assert store.get(1) == reference[1]  # same block -> shared-cache hit
             assert store.cache_hits >= 1
@@ -106,7 +118,7 @@ class TestServingBehavior:
     )
     def test_blockwise_slice_equals_per_record_gets(self, library_dir, reference, start, stop):
         """Ranges across block (8) and shard (40) boundaries, clamped past the end."""
-        with ShardedCorpusStore.open(library_dir, cache_blocks=2) as store:
+        with CorpusLibrary.open(library_dir, cache_blocks=2) as store:
             expected = [store.get(i) for i in range(start, min(stop, len(store)))]
             assert expected == reference[start:stop]
             assert store.slice(start, stop) == expected
@@ -117,7 +129,7 @@ class TestServingBehavior:
 
     @pytest.mark.parametrize("start, stop", [(-1, 4), (10, 5), (200, 150)])
     def test_slice_rejects_bad_ranges_on_raw_values(self, library_dir, start, stop):
-        with ShardedCorpusStore.open(library_dir) as store:
+        with CorpusLibrary.open(library_dir) as store:
             for read in (store.slice, store.probe_slice):
                 with pytest.raises(RandomAccessError) as raised:
                     read(start, stop)
@@ -130,7 +142,7 @@ class TestServingBehavior:
     ):
         def counts(read) -> tuple:
             before = decoded_lines()
-            with ShardedCorpusStore.open(library_dir, cache_blocks=4) as store:
+            with CorpusLibrary.open(library_dir, cache_blocks=4) as store:
                 read(store)
                 read(store)
                 opened = store.open_shard_count
@@ -148,7 +160,7 @@ class TestServingBehavior:
     def test_probes_serve_only_cached_blocks_of_opened_shards(self, library_dir, reference):
         """A probe does no I/O: an unopened shard or an uncached block is a
         miss that counts nothing, and a served record counts one hit."""
-        with ShardedCorpusStore.open(library_dir, cache_blocks=4) as store:
+        with CorpusLibrary.open(library_dir, cache_blocks=4) as store:
             assert store.probe(41) is None
             assert store.probe_slice(40, 48) is None
             assert store.open_shard_count == 0
@@ -178,12 +190,12 @@ class TestServingBehavior:
             ),
             metadata=manifest.metadata,
         )
-        store = ShardedCorpusStore(lying, library_dir)
+        store = CorpusLibrary(lying, library_dir)
         with pytest.raises(ManifestError, match="promises"):
             store.get(0)
 
     def test_close_is_idempotent_and_reopens(self, library_dir, reference):
-        store = ShardedCorpusStore.open(library_dir)
+        store = CorpusLibrary.open(library_dir)
         assert store.get(5) == reference[5]
         store.close()
         store.close()
@@ -192,11 +204,10 @@ class TestServingBehavior:
 
 
 class TestProtocolIntegration:
-    def test_satisfies_record_reader(self, library_dir):
-        with ShardedCorpusStore.open(library_dir) as store:
-            assert isinstance(store, RecordReader)
-        with CorpusLibrary.open(library_dir) as lib:
-            assert isinstance(lib, RecordReader)
+    def test_satisfies_record_reader(self, library_dir, single_shard_path):
+        for source in (library_dir, single_shard_path):
+            with CorpusLibrary.open(source) as lib:
+                assert isinstance(lib, RecordReader)
 
     def test_open_reader_dispatches_manifests(self, library_dir, reference):
         for source in (library_dir, library_dir / "library.json"):
@@ -207,5 +218,7 @@ class TestProtocolIntegration:
     def test_open_errors(self, tmp_path):
         with pytest.raises(LibraryError):
             CorpusLibrary.open(tmp_path / "missing.zss")
+        with pytest.raises(LibraryError, match="cannot open"):
+            CorpusLibrary.open(tmp_path)             # a directory without a manifest
         with pytest.raises(ManifestError):
-            ShardedCorpusStore.open(tmp_path)
+            CorpusLibrary.open(tmp_path / "library.json")

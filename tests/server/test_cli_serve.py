@@ -42,6 +42,18 @@ class TestServeParser:
         assert main(["serve", str(target), "--cache-blocks", "0"]) == 2
         assert main(["serve", str(target), "--port", "-1"]) == 2
 
+    def test_start_up_failure_is_an_error_line(self, served_library, tmp_path, capsys):
+        """A server that cannot start (its access log is in a missing
+        directory) prints ``error: ...`` and exits 1, with no traceback."""
+        status = main([
+            "serve", str(served_library), "--port", "0",
+            "--access-log", str(tmp_path / "missing" / "access.log"),
+        ])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert "error: corpus server failed to start:" in err
+        assert "Traceback" not in err
+
     def test_access_log_flag(self):
         assert build_parser().parse_args(["serve", "c.library"]).access_log is None
         args = build_parser().parse_args(

@@ -13,9 +13,9 @@ import pytest
 
 from repro.core.random_access import RandomAccessReader
 from repro.engine import ZSmilesEngine
-from repro.errors import DecompressionError, RandomAccessError, StoreFormatError
+from repro.errors import DecompressionError, ManifestError, RandomAccessError, StoreFormatError
+from repro.library import CorpusLibrary, LibraryManifest
 from repro.store import (
-    CorpusStore,
     RecordReader,
     ShardReader,
     open_reader,
@@ -295,9 +295,13 @@ class TestShardReader:
 
 
 class TestCorpusStore:
+    """A corpus over ``.zss`` paths is a :class:`CorpusLibrary`: one bare
+    shard through ``CorpusLibrary.open``, several over the manifest that
+    ``LibraryManifest.from_shards`` builds from their footers."""
+
     def test_single_shard(self, packed_library):
         path, corpus, _ = packed_library
-        with CorpusStore(path) as store:
+        with CorpusLibrary.open(path) as store:
             assert len(store) == len(corpus)
             assert store.get(33) == corpus[33]
             assert store.slice(8, 12) == corpus[8:12]
@@ -310,7 +314,7 @@ class TestCorpusStore:
                 path = tmp_path / f"shard{i}.zss"
                 pack_records(path, chunk, engine, records_per_block=16)
                 paths.append(path)
-        with CorpusStore(paths) as store:
+        with CorpusLibrary(LibraryManifest.from_shards(paths), tmp_path) as store:
             assert len(store) == len(corpus)
             assert list(store.iter_all()) == corpus
             for index in (0, 39, 40, 69, 70, 89):   # shard boundaries
@@ -320,18 +324,19 @@ class TestCorpusStore:
                 store.get(len(corpus))
 
     def test_empty_shard_list_rejected(self):
-        with pytest.raises(StoreFormatError):
-            CorpusStore([])
+        with pytest.raises(ManifestError):
+            LibraryManifest.from_shards([])
 
     def test_read_store_records_helper(self, packed_library):
         path, corpus, _ = packed_library
         assert read_store_records(path) == corpus
+        assert read_store_records(io.BytesIO(path.read_bytes())) == corpus
 
 
 class TestRecordReaderProtocol:
     def test_store_satisfies_protocol(self, packed_library):
         path, _, _ = packed_library
-        with CorpusStore(path) as store:
+        with CorpusLibrary.open(path) as store:
             assert isinstance(store, RecordReader)
         with ShardReader(path) as reader:
             assert isinstance(reader, RecordReader)
@@ -351,7 +356,7 @@ class TestRecordReaderProtocol:
 
         path, corpus, _ = packed_library
         store = open_reader(path)
-        assert isinstance(store, CorpusStore)
+        assert isinstance(store, CorpusLibrary)
         assert store.get(0) == corpus[0]
         store.close()
 

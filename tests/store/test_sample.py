@@ -18,7 +18,7 @@ from repro.core.random_access import LineIndex, RandomAccessReader
 from repro.engine import ZSmilesEngine
 from repro.errors import RandomAccessError
 from repro.library import CorpusLibrary, pack_library
-from repro.store import CorpusStore, pack_records
+from repro.store import ShardReader, pack_records
 
 
 def expected_draw(total: int, n: int, seed) -> list[int]:
@@ -44,8 +44,8 @@ def store_reader(tmp_path_factory, corpus, plain_codec):
     path = tmp_path_factory.mktemp("sample_store") / "corpus.zss"
     with ZSmilesEngine.from_codec(plain_codec, backend="serial") as engine:
         pack_records(path, corpus, engine, records_per_block=8)
-    with CorpusStore(path) as store:
-        yield store
+    with ShardReader(path) as reader:
+        yield reader
 
 
 @pytest.fixture(scope="module")

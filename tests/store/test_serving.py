@@ -3,8 +3,9 @@
 These suites guard the serving path underneath ``repro.library``: the mmap
 block reads must be byte-identical to the handle path, the LRU capacity must
 honor whatever bound the constructor (and ``cli query --cache-blocks``)
-configures, and one ``CorpusStore`` hammered from many threads must serve
-exactly what serial reads serve — the invariant the async layer builds on.
+configures, and one reader hammered from many threads — while another
+closes it — must serve exactly what serial reads serve: the invariant the
+async layer builds on.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import pytest
 
 from repro.engine import ZSmilesEngine
 from repro.errors import StoreError
-from repro.store import BlockCache, CorpusStore, ShardReader, pack_records
+from repro.library import CorpusLibrary
+from repro.store import BlockCache, ShardReader, pack_records
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.metrics import set_registry
 
@@ -59,7 +61,7 @@ class TestMmapReads:
 
     def test_mmap_through_corpus_store(self, packed):
         path, corpus = packed
-        with CorpusStore(path, use_mmap=True) as store:
+        with CorpusLibrary.open(path, use_mmap=True) as store:
             assert store.get_many(range(len(corpus))) == corpus
 
     def test_mmap_requires_real_file(self, packed):
@@ -89,8 +91,8 @@ class TestConfigurableCacheBound:
 
     def test_corpus_store_passes_capacity_down(self, packed):
         path, _ = packed
-        with CorpusStore(path, cache_blocks=3) as store:
-            assert store.shards[0]._cache.capacity == 3
+        with CorpusLibrary.open(path, cache_blocks=3) as store:
+            assert store.shard(0)._cache.capacity == 3
 
     def test_block_cache_rejects_zero_capacity(self):
         from repro.errors import StoreFormatError
@@ -189,14 +191,14 @@ class TestCacheCounters:
 
 class TestConcurrentReads:
     def test_threads_match_serial_reads(self, packed):
-        """Hammer ONE CorpusStore from many threads; results must equal serial.
+        """Hammer ONE library from many threads; results must equal serial.
 
-        A tiny cache forces constant eviction/refill while every thread seeks
-        on the same file handle — the exact races the reader's I/O lock and
+        A tiny cache forces constant eviction/refill while every thread
+        reads blocks of the same file — the races the positional reads and
         the thread-safe BlockCache exist to prevent.
         """
         path, corpus = packed
-        store = CorpusStore(path, cache_blocks=2)
+        store = CorpusLibrary.open(path, cache_blocks=2)
         serial = [store.get(i) for i in range(len(corpus))]
         assert serial == corpus
 
@@ -270,7 +272,7 @@ class TestConcurrentReads:
 
     def test_threads_match_serial_reads_mmap(self, packed):
         path, corpus = packed
-        store = CorpusStore(path, cache_blocks=1, use_mmap=True)
+        store = CorpusLibrary.open(path, cache_blocks=1, use_mmap=True)
         try:
             errors: list = []
 
@@ -295,7 +297,7 @@ class TestConcurrentReads:
         path, corpus = packed
         indices = [(i * 7) % len(corpus) for i in range(256)]
         expected = [corpus[i] for i in indices]
-        store = CorpusStore(path, cache_blocks=2)
+        store = CorpusLibrary.open(path, cache_blocks=2)
         try:
             outcomes: list = [None] * 4
 
@@ -310,3 +312,87 @@ class TestConcurrentReads:
             assert all(outcome == expected for outcome in outcomes)
         finally:
             store.close()
+
+    def test_threads_share_a_file_object(self, packed):
+        """A caller's file object has one seek position: its reads take the
+        reader's lock, so threads still each get their own block's bytes."""
+        path, corpus = packed
+        reader = ShardReader(io.BytesIO(path.read_bytes()), cache_blocks=1)
+        errors: list = []
+
+        def hammer(offset: int) -> None:
+            try:
+                for step in range(len(corpus)):
+                    index = (step * 5 + offset * 17) % len(corpus)
+                    assert reader.get(index) == corpus[index]
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        reader.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert reader.quarantine_stats()["quarantined_blocks"] == 0
+
+    @pytest.mark.parametrize("use_mmap", [False, True])
+    def test_close_during_positional_reads(self, packed, tmp_path, use_mmap):
+        """Threads load distinct blocks of one shard while another thread
+        closes it over and over and opens a decoy file.  A descriptor (or
+        map) released under a read would surface as an error (EBADF, a
+        closed map) or, once reused by the decoy, as another file's bytes
+        failing the CRC check and quarantining a good block."""
+        path, corpus = packed
+        decoy = tmp_path / "decoy.bin"
+        decoy.write_bytes(bytes(range(256)) * (path.stat().st_size // 256 + 1))
+        reader = ShardReader(path, cache_blocks=1, use_mmap=use_mmap)
+        per, blocks = reader.records_per_block, reader.block_count
+        workers = 4
+        done = threading.Event()
+        errors: list = []
+        closes = [0]
+
+        def load(worker: int) -> None:
+            try:
+                for step in range(3000):
+                    block = (worker + workers * step) % blocks   # this worker's blocks
+                    index = block * per + step % per
+                    assert reader.get(index) == corpus[index]
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        def close_repeatedly() -> None:
+            try:
+                while not done.is_set():
+                    reader.close()
+                    with open(decoy, "rb") as handle:
+                        handle.read(1)
+                    closes[0] += 1
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            closer = threading.Thread(target=close_repeatedly)
+            loaders = [threading.Thread(target=load, args=(w,)) for w in range(workers)]
+            closer.start()
+            for thread in loaders:
+                thread.start()
+            for thread in loaders:
+                thread.join(timeout=120)
+            done.set()
+            closer.join(timeout=30)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            reader.close()
+        assert not closer.is_alive()
+        assert not any(thread.is_alive() for thread in loaders)
+        assert not errors, errors
+        assert closes[0] > 0
+        assert reader.quarantine_stats()["quarantined_blocks"] == 0
+        assert reader._file is None

@@ -8,8 +8,9 @@ import pytest
 
 from repro.engine import ZSmilesEngine
 from repro.errors import StoreError
+from repro.library import CorpusLibrary
 from repro.store import (
-    CorpusStore,
+    ShardReader,
     ShardWriter,
     pack_compressed_records,
     pack_file,
@@ -32,7 +33,7 @@ class TestShardWriter:
         assert info.records == len(corpus)
         assert info.blocks == (len(corpus) + 15) // 16
         buffer.seek(0)
-        with CorpusStore(buffer) as store:
+        with ShardReader(buffer) as store:
             assert list(store.iter_all()) == corpus
 
     def test_partial_final_block(self, plain_engine, mixed_corpus_small):
@@ -75,7 +76,7 @@ class TestShardWriter:
         info = pack_records(buffer, [], plain_engine)
         assert info.records == 0 and info.blocks == 0
         buffer.seek(0)
-        with CorpusStore(buffer) as store:
+        with ShardReader(buffer) as store:
             assert len(store) == 0
             assert list(store.iter_all()) == []
 
@@ -125,7 +126,7 @@ class TestPackCompressed:
         info = pack_compressed_records(buffer, compressed, records_per_block=8)
         assert info.records == len(corpus)
         buffer.seek(0)
-        with CorpusStore(buffer, codec=plain_codec) as store:
+        with ShardReader(buffer, codec=plain_codec) as store:
             assert list(store.iter_all()) == corpus
 
     def test_mixed_plain_and_precompressed_order(self, plain_engine, plain_codec,
@@ -138,7 +139,7 @@ class TestPackCompressed:
             writer.add_many(corpus[20:])
             writer.close()
         buffer.seek(0)
-        with CorpusStore(buffer) as store:
+        with ShardReader(buffer) as store:
             assert list(store.iter_all()) == corpus
 
 
@@ -151,7 +152,7 @@ class TestPackFile:
         write_lines(smi, corpus)
         info = pack_file(smi, engine=plain_engine, records_per_block=16)
         assert info.path == tmp_path / "lib.zss"
-        with CorpusStore(info.path) as store:
+        with CorpusLibrary.open(info.path) as store:
             assert list(store.iter_all()) == corpus
 
     def test_pack_file_requires_engine(self, tmp_path):

@@ -19,7 +19,8 @@ import pytest
 from repro.core.codec import ZSmilesCodec
 from repro.core.streaming import read_lines
 from repro.engine import ZSmilesEngine, available_backends
-from repro.store import CorpusStore, DICTIONARY_META_KEY, pack_records
+from repro.library import CorpusLibrary
+from repro.store import DICTIONARY_META_KEY, pack_records
 from repro.store.writer import ShardWriter
 
 from .fixtures.regenerate import CORPUS, RECORDS_PER_BLOCK, TRAIN_KWARGS, FIXTURES
@@ -96,18 +97,18 @@ class TestStoreParity:
         assert buffer.getvalue() == (FIXTURES / "corpus.zss").read_bytes()
 
     def test_golden_store_serves_original_records(self):
-        with CorpusStore(FIXTURES / "corpus.zss") as store:
+        with CorpusLibrary.open(FIXTURES / "corpus.zss") as store:
             assert len(store) == len(CORPUS)
             assert list(store.iter_all()) == CORPUS
             for index in (0, 7, 8, len(CORPUS) - 1):
                 assert store.get(index) == CORPUS[index]
 
     def test_golden_store_payload_is_per_line_codec_output(self, golden_compressed):
-        with CorpusStore(FIXTURES / "corpus.zss") as store:
+        with CorpusLibrary.open(FIXTURES / "corpus.zss") as store:
             stored = [store.get_raw(i) for i in range(len(store))]
         assert stored == golden_compressed
 
     def test_golden_store_embeds_golden_dictionary(self):
-        with CorpusStore(FIXTURES / "corpus.zss") as store:
-            embedded = store.shards[0].metadata[DICTIONARY_META_KEY]
+        with CorpusLibrary.open(FIXTURES / "corpus.zss") as store:
+            embedded = store.shard(0).metadata[DICTIONARY_META_KEY]
         assert embedded == (FIXTURES / "golden.dct").read_text(encoding="utf-8")
