@@ -35,148 +35,84 @@ corpus — one ``.zss`` or a sharded ``library.json`` — serves through
 ``zsmiles serve`` exposes any packed corpus over HTTP
 (:mod:`repro.server`) — ``open_reader("http://…")`` consumes it through the
 same protocol.
+
+Every name here, and in each subpackage, is imported on first use
+(:mod:`repro._lazy`): ``import repro`` loads no subpackage, so a worker
+process imports only the modules it runs.
 """
 
-from ._version import __version__
-from .core.codec import CodecStats, ZSmilesCodec
-from .core.compressor import Compressor, ParseStrategy
-from .core.decompressor import Decompressor
-from .core.random_access import LineIndex, RandomAccessReader
-from .dictionary.codec_table import CodecTable
-from .dictionary.generator import DictionaryConfig, train_dictionary
-from .dictionary.prepopulation import PrePopulation
-from .dictionary.serialization import load as load_dictionary
-from .dictionary.serialization import save as save_dictionary
-from .engine import (
-    BaselineBackend,
-    BatchResult,
-    BlockKernel,
-    CodecAutomaton,
-    CompressionBackend,
-    EngineConfig,
-    KernelBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    ZSmilesEngine,
-    available_backends,
-    register_backend,
-)
-from .library import (
-    AsyncCorpusLibrary,
-    CorpusLibrary,
-    LibraryManifest,
-    LibraryWriter,
-    compose_libraries,
-    pack_library,
-    pack_library_file,
-)
-from .server import (
-    AsyncCorpusClient,
-    AsyncFailoverCorpusClient,
-    BackgroundServer,
-    CorpusClient,
-    CorpusServer,
-    FailoverCorpusClient,
-    RetryPolicy,
-    ServerFleet,
-)
-from .curation import (
-    DictionaryIdentity,
-    IngestPipeline,
-    ReservoirSampler,
-    pin_identity,
-    repack_library,
-)
-from .campaign import (
-    CampaignConfig,
-    CampaignDriver,
-    CampaignState,
-    GenerationStats,
-)
-from .preprocess.pipeline import PreprocessingPipeline, make_pipeline
-from .preprocess.ring_renumber import renumber_rings
-from .store import (
-    FsckReport,
-    RecordReader,
-    ShardReader,
-    ShardWriter,
-    StoreInfo,
-    fsck_path,
-    open_reader,
-    pack_file,
-    pack_records,
-    repair_path,
-)
+from ._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "._version": ["__version__"],
     # Engine surface (preferred).
-    "ZSmilesEngine",
-    "EngineConfig",
-    "BatchResult",
-    "BlockKernel",
-    "CodecAutomaton",
-    "CompressionBackend",
-    "KernelBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "BaselineBackend",
-    "available_backends",
-    "register_backend",
+    ".engine": [
+        "ZSmilesEngine",
+        "EngineConfig",
+        "BatchResult",
+        "BlockKernel",
+        "CodecAutomaton",
+        "CompressionBackend",
+        "KernelBackend",
+        "SerialBackend",
+        "ProcessPoolBackend",
+        "BaselineBackend",
+        "available_backends",
+        "register_backend",
+    ],
     # Sharded serving layer (library.json manifests, async surface).
-    "AsyncCorpusLibrary",
-    "CorpusLibrary",
-    "LibraryManifest",
-    "LibraryWriter",
-    "compose_libraries",
-    "pack_library",
-    "pack_library_file",
+    ".library": [
+        "AsyncCorpusLibrary",
+        "CorpusLibrary",
+        "LibraryManifest",
+        "LibraryWriter",
+        "compose_libraries",
+        "pack_library",
+        "pack_library_file",
+    ],
     # Network serving front (HTTP server, fleet, typed clients).
-    "AsyncCorpusClient",
-    "AsyncFailoverCorpusClient",
-    "BackgroundServer",
-    "CorpusClient",
-    "CorpusServer",
-    "FailoverCorpusClient",
-    "RetryPolicy",
-    "ServerFleet",
+    ".server": [
+        "AsyncCorpusClient",
+        "AsyncFailoverCorpusClient",
+        "BackgroundServer",
+        "CorpusClient",
+        "CorpusServer",
+        "FailoverCorpusClient",
+        "RetryPolicy",
+        "ServerFleet",
+    ],
     # Curation subsystem (streaming ingest, dictionary lifecycle, repack).
-    "DictionaryIdentity",
-    "IngestPipeline",
-    "ReservoirSampler",
-    "pin_identity",
-    "repack_library",
+    ".curation": [
+        "DictionaryIdentity",
+        "IngestPipeline",
+        "ReservoirSampler",
+        "pin_identity",
+        "repack_library",
+    ],
     # Generative GA screening campaigns.
-    "CampaignConfig",
-    "CampaignDriver",
-    "CampaignState",
-    "GenerationStats",
+    ".campaign": ["CampaignConfig", "CampaignDriver", "CampaignState", "GenerationStats"],
     # Block-compressed corpus store (.zss) and the shared reader protocol.
-    "FsckReport",
-    "RecordReader",
-    "ShardReader",
-    "ShardWriter",
-    "StoreInfo",
-    "fsck_path",
-    "open_reader",
-    "pack_file",
-    "pack_records",
-    "repair_path",
+    ".store": [
+        "FsckReport",
+        "RecordReader",
+        "ShardReader",
+        "ShardWriter",
+        "StoreInfo",
+        "fsck_path",
+        "open_reader",
+        "pack_file",
+        "pack_records",
+        "repair_path",
+    ],
     # Building blocks.
-    "CodecStats",
-    "ZSmilesCodec",
-    "Compressor",
-    "ParseStrategy",
-    "Decompressor",
-    "LineIndex",
-    "RandomAccessReader",
-    "CodecTable",
-    "DictionaryConfig",
-    "train_dictionary",
-    "PrePopulation",
-    "load_dictionary",
-    "save_dictionary",
-    "PreprocessingPipeline",
-    "make_pipeline",
-    "renumber_rings",
-]
+    ".core.codec": ["CodecStats", "ZSmilesCodec"],
+    ".core.compressor": ["Compressor", "ParseStrategy"],
+    ".core.decompressor": ["Decompressor"],
+    ".core.random_access": ["LineIndex", "RandomAccessReader"],
+    ".dictionary.codec_table": ["CodecTable"],
+    ".dictionary.generator": ["DictionaryConfig", "train_dictionary"],
+    ".dictionary.prepopulation": ["PrePopulation"],
+    ".dictionary.serialization": {"load_dictionary": "load", "save_dictionary": "save"},
+    ".preprocess.pipeline": ["PreprocessingPipeline", "make_pipeline"],
+    ".preprocess.ring_renumber": ["renumber_rings"],
+})

@@ -1,25 +1,12 @@
 """Baseline compressors compared against ZSMILES (Section III / Figure 4)."""
 
-from .bzip2_codec import Bzip2FileCodec, Bzip2LineCodec, bzip2_over_lines
-from .fsst import FsstCodec, FsstSymbolTable, build_symbol_table
-from .interface import BaselineCodec, CodecProperties
-from .shoco import ShocoCodec, ShocoModel
-from .transform import TransformBzip2Codec, forward_transform, inverse_transform
-from .zsmiles_adapter import ZSmilesBaseline
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Bzip2FileCodec",
-    "Bzip2LineCodec",
-    "bzip2_over_lines",
-    "FsstCodec",
-    "FsstSymbolTable",
-    "build_symbol_table",
-    "BaselineCodec",
-    "CodecProperties",
-    "ShocoCodec",
-    "ShocoModel",
-    "TransformBzip2Codec",
-    "forward_transform",
-    "inverse_transform",
-    "ZSmilesBaseline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".bzip2_codec": ["Bzip2FileCodec", "Bzip2LineCodec", "bzip2_over_lines"],
+    ".fsst": ["FsstCodec", "FsstSymbolTable", "build_symbol_table"],
+    ".interface": ["BaselineCodec", "CodecProperties"],
+    ".shoco": ["ShocoCodec", "ShocoModel"],
+    ".transform": ["TransformBzip2Codec", "forward_transform", "inverse_transform"],
+    ".zsmiles_adapter": ["ZSmilesBaseline"],
+})

@@ -62,51 +62,20 @@ Quickstart::
         print(f"{score:9.3f}  {smiles}")
 """
 
-from .driver import (
-    CampaignConfig,
-    CampaignDriver,
-    campaign_status,
-    campaign_top_hits,
-    resume_campaign,
-    run_campaign,
-)
-from .operators import (
-    DEFAULT_MAX_HEAVY_ATOMS,
-    DEFAULT_MUTATION_FRAGMENTS,
-    attachment_candidates,
-    crossover,
-    mutate,
-)
-from .scoring import resolve_pocket, score_many
-from .state import (
-    CHECKPOINT_NAME,
-    COMPOSED_MANIFEST_NAME,
-    DICTIONARY_NAME,
-    GENERATION_DIR_FORMAT,
-    CampaignState,
-    GenerationStats,
-    generation_dir,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_NAME",
-    "COMPOSED_MANIFEST_NAME",
-    "DEFAULT_MAX_HEAVY_ATOMS",
-    "DEFAULT_MUTATION_FRAGMENTS",
-    "DICTIONARY_NAME",
-    "GENERATION_DIR_FORMAT",
-    "CampaignConfig",
-    "CampaignDriver",
-    "CampaignState",
-    "GenerationStats",
-    "attachment_candidates",
-    "campaign_status",
-    "campaign_top_hits",
-    "crossover",
-    "generation_dir",
-    "mutate",
-    "resolve_pocket",
-    "resume_campaign",
-    "run_campaign",
-    "score_many",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".driver": [
+        "CampaignConfig", "CampaignDriver", "campaign_status", "campaign_top_hits",
+        "resume_campaign", "run_campaign",
+    ],
+    ".operators": [
+        "DEFAULT_MAX_HEAVY_ATOMS", "DEFAULT_MUTATION_FRAGMENTS",
+        "attachment_candidates", "crossover", "mutate",
+    ],
+    ".scoring": ["resolve_pocket", "score_many"],
+    ".state": [
+        "CHECKPOINT_NAME", "COMPOSED_MANIFEST_NAME", "DICTIONARY_NAME",
+        "GENERATION_DIR_FORMAT", "CampaignState", "GenerationStats", "generation_dir",
+    ],
+})

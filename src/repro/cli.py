@@ -13,8 +13,9 @@ needs:
 * ``zsmiles get``         — fetch single records by line number through the index.
 * ``zsmiles pack``        — pack a ``.smi`` file into a block-compressed ``.zss`` store,
   or — with ``--shards N`` — into a sharded library (``library.json`` + N shards;
-  blocks compressed through the engine; ``--backend`` / ``--jobs`` parallelize packing,
-  ``--shard-jobs N`` packs whole shards concurrently across processes).
+  blocks compressed through the engine; ``--backend`` / ``--jobs`` parallelize packing;
+  with ``--shard-jobs N`` the pack runs on N worker processes only when a pool would
+  repay its start, and in-process otherwise).
 * ``zsmiles compose``     — concatenate packed libraries into one ``library.json``
   without repacking a single shard (manifest-level composition).
 * ``zsmiles unpack``      — expand a ``.zss`` store or a sharded library back to ``.smi``.
@@ -42,7 +43,8 @@ needs:
   training, pinning name/version/content-hash identity into the ``.dct``.
 * ``zsmiles repack``      — migrate a packed library to a new dictionary
   (``repro.curation.repack``): decompress with the old, recompress with the new,
-  ``--shard-jobs`` parallel, source untouched until the new manifest validates.
+  packed as ``pack --shard-jobs`` packs, source untouched until the new manifest
+  validates.
 * ``zsmiles campaign``    — generative GA screening campaigns (``repro.campaign``):
   ``run`` a checkpointed campaign against any corpus tier (local library or
   ``http://`` replica list), ``resume`` after a kill to byte-identical results,
@@ -163,8 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     pack.add_argument("--jobs", type=int, default=None, metavar="N",
                       help="worker processes for the process backend")
     pack.add_argument("--shard-jobs", type=int, default=None, metavar="N",
-                      help="with --shards: pack whole shards concurrently across "
-                           "N processes (byte-identical to sequential packing)")
+                      help="with --shards: N worker processes, used only when a pool "
+                           "would repay its start; otherwise the pack runs in-process "
+                           "(byte-identical either way)")
 
     compose = sub.add_parser(
         "compose",
@@ -360,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     repack.add_argument("--block-size", type=int, default=None, metavar="N",
                         help="records per block (default: mirror source)")
     repack.add_argument("--shard-jobs", type=int, default=None, metavar="N",
-                        help="pack whole shards concurrently across N processes")
+                        help="N worker processes, used only when a pool would repay "
+                             "its start; otherwise the pack runs in-process")
     repack.add_argument("--no-verify", action="store_true",
                         help="skip the full readback comparison after packing")
 

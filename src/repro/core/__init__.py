@@ -1,32 +1,17 @@
 """ZSMILES core: the paper's primary contribution (Section IV)."""
 
-from .codec import CodecStats, ZSmilesCodec
-from .compressor import CompressionRecord, Compressor, ParseStrategy, compression_ratio
-from .decompressor import Decompressor
-from .escape import escape_char, escaped_length, iter_compressed_units
-from .random_access import LineIndex, RandomAccessReader
-from .shortest_path import ParseStep, greedy_parse, optimal_parse, parse_cost, parse_consumes
-from .streaming import FileStats, read_lines, write_lines
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CodecStats",
-    "ZSmilesCodec",
-    "CompressionRecord",
-    "Compressor",
-    "ParseStrategy",
-    "compression_ratio",
-    "Decompressor",
-    "escape_char",
-    "escaped_length",
-    "iter_compressed_units",
-    "LineIndex",
-    "RandomAccessReader",
-    "ParseStep",
-    "greedy_parse",
-    "optimal_parse",
-    "parse_cost",
-    "parse_consumes",
-    "FileStats",
-    "read_lines",
-    "write_lines",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".codec": ["CodecStats", "ZSmilesCodec"],
+    ".compressor": [
+        "CompressionRecord", "Compressor", "ParseStrategy", "compression_ratio",
+    ],
+    ".decompressor": ["Decompressor"],
+    ".escape": ["escape_char", "escaped_length", "iter_compressed_units"],
+    ".random_access": ["LineIndex", "RandomAccessReader"],
+    ".shortest_path": [
+        "ParseStep", "greedy_parse", "optimal_parse", "parse_cost", "parse_consumes",
+    ],
+    ".streaming": ["FileStats", "read_lines", "write_lines"],
+})

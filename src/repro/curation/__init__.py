@@ -63,74 +63,24 @@ The same loop is exposed on the command line as ``zsmiles ingest``,
 ``zsmiles train-dict`` and ``zsmiles repack``.
 """
 
-from .filters import (
-    RecordFilter,
-    canonical_filter,
-    carbon_filter,
-    charge_filter,
-    column_filter,
-    count_carbons,
-    default_filters,
-    is_charged,
-    largest_fragment_filter,
-    length_filter,
-    strip_filter,
-)
-from .lifecycle import (
-    DictionaryIdentity,
-    content_hash,
-    identity_of,
-    load_verified,
-    pin_identity,
-    save_pinned,
-    verify_identity,
-)
-from .pipeline import (
-    DEDUP_STAGE,
-    IngestPipeline,
-    IngestStats,
-    StageCount,
-    ingest_to_file,
-    ingest_to_store,
-    iter_source,
-    tee,
-)
-from .repack import RepackResult, repack_engine, repack_library, resolve_dictionary
-from .sampling import HeadSampler, ReservoirSampler, make_sampler, train_on_sample
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RecordFilter",
-    "canonical_filter",
-    "carbon_filter",
-    "charge_filter",
-    "column_filter",
-    "count_carbons",
-    "default_filters",
-    "is_charged",
-    "largest_fragment_filter",
-    "length_filter",
-    "strip_filter",
-    "DictionaryIdentity",
-    "content_hash",
-    "identity_of",
-    "load_verified",
-    "pin_identity",
-    "save_pinned",
-    "verify_identity",
-    "DEDUP_STAGE",
-    "IngestPipeline",
-    "IngestStats",
-    "StageCount",
-    "ingest_to_file",
-    "ingest_to_store",
-    "iter_source",
-    "tee",
-    "RepackResult",
-    "repack_engine",
-    "repack_library",
-    "resolve_dictionary",
-    "HeadSampler",
-    "ReservoirSampler",
-    "make_sampler",
-    "train_on_sample",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".filters": [
+        "RecordFilter", "canonical_filter", "carbon_filter", "charge_filter",
+        "column_filter", "count_carbons", "default_filters", "is_charged",
+        "largest_fragment_filter", "length_filter", "strip_filter",
+    ],
+    ".lifecycle": [
+        "DictionaryIdentity", "content_hash", "identity_of", "load_verified",
+        "pin_identity", "save_pinned", "verify_identity",
+    ],
+    ".pipeline": [
+        "DEDUP_STAGE", "IngestPipeline", "IngestStats", "StageCount", "ingest_to_file",
+        "ingest_to_store", "iter_source", "tee",
+    ],
+    ".repack": [
+        "RepackResult", "repack_engine", "repack_library", "resolve_dictionary",
+    ],
+    ".sampling": ["HeadSampler", "ReservoirSampler", "make_sampler", "train_on_sample"],
+})

@@ -3,8 +3,9 @@
 ``repack_library`` decompresses every record of a source library with the
 dictionary it was packed with (dictionary A, resolved from the embedded
 ``.dct`` per shard), recompresses with dictionary B and writes a brand-new
-library — shard-parallel through the existing ``shard_jobs`` machinery —
-whose manifest pins B's identity.  The destination must be a different
+library through :class:`~repro.library.writer.LibraryWriter` — on a pool of
+``shard_jobs`` workers when one repays its start — whose manifest pins B's
+identity.  The destination must be a different
 directory: the source shards are never touched, and the new library only
 becomes addressable once its ``library.json`` has been written *and*
 validated (record count, full readback when ``verify=True``, manifest
@@ -120,7 +121,9 @@ def repack_library(
     shards / records_per_block:
         Layout of the new library; default: mirror the source layout.
     shard_jobs:
-        Pack whole shards concurrently, as ``zsmiles pack --shard-jobs``.
+        Worker processes of the pool the new library is packed on, used
+        only when that pool would repay its start; otherwise the pack runs
+        in-process (as ``zsmiles pack --shard-jobs``).
     verify:
         Read the whole new library back and compare against the source
         records before returning (the safety net that keeps a bad repack

@@ -1,38 +1,24 @@
 """Dictionary construction (Sections IV-B and IV-C of the paper)."""
 
-from .analysis import DictionaryAnalysis, EntryUsage, analyse_dictionary, compare_dictionaries
-from .codec_table import CodecTable, DictionaryEntry
-from .generator import DictionaryConfig, DictionaryGenerator, TrainingReport, train_dictionary
-from .prepopulation import PrePopulation, available_symbols, capacity, seed_entries, seeded_characters
-from .ranking import RankTable, RankedPattern, count_substrings, pattern_overlap, rank_value
-from .serialization import dumps, load, loads, save
-from .trie import Trie, TrieNode
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DictionaryAnalysis",
-    "EntryUsage",
-    "analyse_dictionary",
-    "compare_dictionaries",
-    "CodecTable",
-    "DictionaryEntry",
-    "DictionaryConfig",
-    "DictionaryGenerator",
-    "TrainingReport",
-    "train_dictionary",
-    "PrePopulation",
-    "available_symbols",
-    "capacity",
-    "seed_entries",
-    "seeded_characters",
-    "RankTable",
-    "RankedPattern",
-    "count_substrings",
-    "pattern_overlap",
-    "rank_value",
-    "dumps",
-    "load",
-    "loads",
-    "save",
-    "Trie",
-    "TrieNode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".analysis": [
+        "DictionaryAnalysis", "EntryUsage", "analyse_dictionary",
+        "compare_dictionaries",
+    ],
+    ".codec_table": ["CodecTable", "DictionaryEntry"],
+    ".generator": [
+        "DictionaryConfig", "DictionaryGenerator", "TrainingReport", "train_dictionary",
+    ],
+    ".prepopulation": [
+        "PrePopulation", "available_symbols", "capacity", "seed_entries",
+        "seeded_characters",
+    ],
+    ".ranking": [
+        "RankTable", "RankedPattern", "count_substrings", "pattern_overlap",
+        "rank_value",
+    ],
+    ".serialization": ["dumps", "load", "loads", "save"],
+    ".trie": ["Trie", "TrieNode"],
+})

@@ -17,9 +17,8 @@ The engine has two in-process parse implementations with one invariant:
   and a batch's lines parsed many at a time by the batch DP, which runs the
   trie walk, the shortest-path DP and the emit over a length-sorted group of
   lines in numpy.  Groups too small to repay numpy's per-call cost take the
-  per-line DP over preallocated scratch.  Process-pool workers, the
-  library's shard workers and the ``.zss`` block decoder run the same
-  kernel.
+  per-line DP over preallocated scratch.  Process-pool workers and the
+  ``.zss`` block decoder run the same kernel.
 * The **reference** (backend name ``"serial"``) is the seed's per-line
   trie walk (:func:`~repro.core.shortest_path.optimal_parse`); it stays the
   readable oracle that defines correct bytes — including the deterministic
@@ -31,56 +30,44 @@ Reach the oracle with ``backend="serial"``, in the configuration
 ``tests/engine/test_kernel.py``, the golden fixtures and a hypothesis suite;
 ``benchmarks/test_throughput.py`` records the speedup in
 ``benchmarks/results/BENCH_codec.json``.
+
+The process pool
+----------------
+:class:`ProcessPoolBackend` is the package's one process pool: spawned
+workers, each holding the codec and running the kernel over its chunks of
+a batch.  A pool pays only when the work it takes over outweighs its start:
+spawning the workers, their imports and the codec unpickling before the
+first task, and the shutdown, which :data:`~repro.engine.config.POOL_START_COST_S`
+puts at half a second.  Two routes lead to it:
+
+* per batch, ``"auto"`` sends a batch of at least ``parallel_threshold``
+  records to the engine's pool, which lives until :meth:`ZSmilesEngine.close`;
+  streams of unknown length (``compress_file``, ``store.pack_file``) route
+  this way;
+* per pack, :meth:`ZSmilesEngine.pack_backend` (a library pack or repack,
+  whose length is known) compresses the first batch in-process, times it,
+  and starts a pool of ``shard_jobs`` workers only if
+  :func:`~repro.engine.config.pool_repays` for the records left; that pool
+  is shut down when the pack ends.
+
+The package inits are lazy, so a spawned worker imports the engine it
+unpickles and not the serving or curation layers, and numpy only when it
+first compresses a batch.
 """
 
-from .backends import (
-    BackendStats,
-    BatchResult,
-    CompressionBackend,
-    KernelBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    available_backends,
-    backend_factory,
-    create_backend,
-    register_backend,
-)
-from .baselines import BaselineBackend
-from .config import (
-    AUTO_BACKEND,
-    BACKEND_CHOICES,
-    KERNEL_BACKEND,
-    PROCESS_BACKEND,
-    SERIAL_BACKEND,
-    EngineConfig,
-    EngineConfigError,
-    default_worker_count,
-)
-from .engine import ZSmilesEngine
-from .kernel import BlockKernel, CodecAutomaton, KernelUnsupportedError
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AUTO_BACKEND",
-    "BACKEND_CHOICES",
-    "KERNEL_BACKEND",
-    "PROCESS_BACKEND",
-    "SERIAL_BACKEND",
-    "BackendStats",
-    "BatchResult",
-    "BaselineBackend",
-    "BlockKernel",
-    "CodecAutomaton",
-    "CompressionBackend",
-    "EngineConfig",
-    "EngineConfigError",
-    "KernelBackend",
-    "KernelUnsupportedError",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "ZSmilesEngine",
-    "available_backends",
-    "backend_factory",
-    "create_backend",
-    "default_worker_count",
-    "register_backend",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".backends": [
+        "BackendStats", "BatchResult", "CompressionBackend", "KernelBackend",
+        "ProcessPoolBackend", "SerialBackend", "available_backends", "backend_factory",
+        "create_backend", "register_backend",
+    ],
+    ".baselines": ["BaselineBackend"],
+    ".config": [
+        "AUTO_BACKEND", "BACKEND_CHOICES", "KERNEL_BACKEND", "PROCESS_BACKEND",
+        "SERIAL_BACKEND", "EngineConfig", "EngineConfigError", "default_worker_count",
+    ],
+    ".engine": ["ZSmilesEngine"],
+    ".kernel": ["BlockKernel", "CodecAutomaton", "KernelUnsupportedError"],
+})

@@ -31,6 +31,12 @@ KERNEL_BACKEND = "kernel"
 #: Name of the process-pool backend.
 PROCESS_BACKEND = "process"
 
+#: Seconds a process pool costs a pack beyond its share of the work: the
+#: spawn, each worker's imports and codec unpickling before its first task,
+#: and the shutdown.  A 2-worker spawn pool took 0.42-0.56 s to run its
+#: first task on a 2-vCPU host (see CHANGES.md).
+POOL_START_COST_S = 0.5
+
 
 class EngineConfigError(ReproError):
     """Raised when an :class:`EngineConfig` is inconsistent."""
@@ -147,6 +153,18 @@ class EngineConfig:
         if batch_size < self.parallel_threshold or self.worker_count() == 1:
             return KERNEL_BACKEND
         return PROCESS_BACKEND
+
+
+def pool_repays(records_left: int, seconds_per_record: float, workers: int) -> bool:
+    """Whether a *workers*-process pool repays its start on the rest of a pack.
+
+    In-process, the *records_left* records take ``records_left *
+    seconds_per_record`` seconds; *workers* processes save at most
+    ``1 - 1/workers`` of that, and the pool repays its start when that
+    saving exceeds :data:`POOL_START_COST_S`.  One worker saves nothing.
+    """
+    saved = records_left * seconds_per_record * (1 - 1 / max(workers, 1))
+    return saved > POOL_START_COST_S
 
 
 #: Names accepted by the CLI and the engine for backend selection.

@@ -21,6 +21,7 @@ oracle instead — byte parity between the two is the engine's core invariant
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -31,9 +32,11 @@ from ..dictionary.generator import DictionaryGenerator, TrainingReport
 from ..dictionary import serialization
 from ..errors import CodecError
 from .backends import BatchResult, CompressionBackend, create_backend
-from .config import AUTO_BACKEND, EngineConfig
+from .config import AUTO_BACKEND, KERNEL_BACKEND, PROCESS_BACKEND, EngineConfig, pool_repays
 
 PathLike = Union[str, Path]
+#: A backend name (``None`` = the configured one) or a backend instance.
+BackendLike = Union[str, CompressionBackend, None]
 
 
 class ZSmilesEngine:
@@ -128,18 +131,47 @@ class ZSmilesEngine:
     # ------------------------------------------------------------------ #
     # Backend management
     # ------------------------------------------------------------------ #
-    def backend(self, name: Optional[str] = None, batch_size: int = 0) -> CompressionBackend:
+    def backend(self, name: BackendLike = None, batch_size: int = 0) -> CompressionBackend:
         """The (cached) backend instance for *name*.
 
         ``None`` or ``"auto"`` resolves through the configuration's batch-size
-        threshold; concrete names come from the backend registry.
+        threshold; concrete names come from the backend registry.  A backend
+        instance (such as :meth:`pack_backend`'s) is returned as it is.
         """
+        if name is not None and not isinstance(name, str):
+            return name
         resolved = name or self.config.backend
         if resolved == AUTO_BACKEND:
             resolved = self.config.resolved_backend(batch_size)
         if resolved not in self._backends:
             self._backends[resolved] = create_backend(resolved, self.codec, self.config)
         return self._backends[resolved]
+
+    @contextmanager
+    def pack_backend(
+        self, records: int, workers: Optional[int] = None, backend: Optional[str] = None
+    ) -> Iterator[CompressionBackend]:
+        """The backend one pack of *records* records compresses through.
+
+        A named *backend* (else the configured one) is obeyed, and
+        ``"process"`` runs on a pool of *workers* processes (else the
+        configured worker count).  ``"auto"`` compresses the pack's first
+        batch in-process and keeps it; the batches after it go to a
+        *workers*-process pool only if :func:`~repro.engine.config.pool_repays`
+        for the records left at that batch's cost per record, and stay on
+        the kernel otherwise.  Either pool splits each batch into one chunk
+        per worker and is shut down when the block exits, so no pool
+        outlives the pack.
+        """
+        name = backend or self.config.backend
+        if name not in (AUTO_BACKEND, PROCESS_BACKEND):
+            yield self.backend(name)
+            return
+        route = _PackRoute(self, records, workers or self.config.worker_count(), name)
+        try:
+            yield route  # type: ignore[misc]
+        finally:
+            route.close()
 
     def close(self) -> None:
         """Release backend resources (worker pools).  The engine stays usable."""
@@ -158,9 +190,7 @@ class ZSmilesEngine:
     # ------------------------------------------------------------------ #
     # Batch operations (the primary surface)
     # ------------------------------------------------------------------ #
-    def compress_batch(
-        self, records: Sequence[str], backend: Optional[str] = None
-    ) -> BatchResult:
+    def compress_batch(self, records: Sequence[str], backend: BackendLike = None) -> BatchResult:
         """Preprocess and compress *records* (order preserved).
 
         The result's ``stats.original_bytes`` measures the raw input (before
@@ -308,6 +338,56 @@ class ZSmilesEngine:
             f"backend={self.config.backend!r}, "
             f"strategy={self.config.strategy.value})"
         )
+
+
+class _PackRoute:
+    """The compression backend of one ``"auto"`` or ``"process"`` pack.
+
+    Its first batch settles where every later batch runs: ``"process"``
+    starts the pool; ``"auto"`` compresses that batch on the kernel, takes
+    its seconds per record, and starts the pool only if it repays its start
+    on the records left.
+    """
+
+    def __init__(self, engine: ZSmilesEngine, records: int, workers: int, name: str):
+        self.name = name
+        self.engine = engine
+        self.records_left = records
+        self.workers = workers
+        self.chosen: Optional[CompressionBackend] = None
+        self.pool: Optional[CompressionBackend] = None
+
+    def compress_batch(self, records: Sequence[str]) -> BatchResult:
+        if self.chosen is not None:
+            return self.chosen.compress_batch(records)
+        self.records_left -= len(records)
+        if self.name == PROCESS_BACKEND:
+            self.chosen = self._start_pool(len(records))
+            return self.chosen.compress_batch(records)
+        kernel = self.engine.backend(KERNEL_BACKEND)
+        result = kernel.compress_batch(records)
+        per_record = result.wall_time / max(len(records), 1)
+        if pool_repays(self.records_left, per_record, self.workers):
+            self.chosen = self._start_pool(len(records))
+        else:
+            self.chosen = kernel
+        return result
+
+    def _start_pool(self, batch: int) -> CompressionBackend:
+        """A pool of :attr:`workers` processes, one chunk of *batch* each."""
+        config = self.engine.config
+        chunk_size = min(config.chunk_size, max(1, -(-batch // self.workers)))
+        self.pool = create_backend(
+            PROCESS_BACKEND,
+            self.engine.codec,
+            config.replace(jobs=self.workers, chunk_size=chunk_size),
+        )
+        return self.pool
+
+    def close(self) -> None:
+        closer = getattr(self.pool, "close", None)
+        if closer is not None:
+            closer()
 
 
 def _batched_lines(handle: Iterable[str], batch_size: int) -> Iterator[List[str]]:

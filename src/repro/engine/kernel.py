@@ -61,7 +61,8 @@ setup to pay off (see :data:`BATCH_MIN_LINES`).
 
 The numpy tables are built on the first batch compression, like the
 automaton's own compression tables (below), so a decode-only kernel never
-builds them.
+builds them, and numpy itself is imported then: a process that only
+decodes, such as a serving worker, never imports it.
 
 Selection
 ---------
@@ -76,9 +77,7 @@ from __future__ import annotations
 import codecs
 import threading
 from bisect import bisect_right
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..core.compressor import ParseStrategy
 from ..core.shortest_path import ESCAPE_COST as _ESCAPE_COST
@@ -87,6 +86,9 @@ from ..dictionary.codec_table import CodecTable
 from ..errors import CompressionError, DecompressionError, ReproError
 from ..smiles.alphabet import ESCAPE_CHAR
 from ..telemetry import metrics as _metrics
+
+if TYPE_CHECKING:  # imported where the batch DP first runs (see above)
+    import numpy as np
 
 #: Transition-table width: one slot per Latin-1 code point.
 ALPHABET_SIZE = 256
@@ -143,6 +145,8 @@ class _BatchParser:
         self._table: Optional[np.ndarray] = None
 
     def _build_table(self, compiled: Tuple[int, List[int], List[int], List[int]]) -> np.ndarray:
+        import numpy as np
+
         num_states, transitions, accept_length, accept_symbol = compiled
         nxt = np.zeros((num_states + 1, ALPHABET_SIZE), dtype=np.int64)
         nxt[1:] = np.array(transitions, dtype=np.int64).reshape(num_states, ALPHABET_SIZE) + 1
@@ -167,6 +171,8 @@ class _BatchParser:
         *compiled* is the automaton's compression tables; their numpy form
         is built from them on the first call.
         """
+        import numpy as np
+
         table = self._table
         if table is None:
             table = self._build_table(compiled)

@@ -1,25 +1,12 @@
 """Experiment drivers, one per table / figure of the paper's evaluation."""
 
-from .common import ExperimentScale, component_corpora, mixed_corpus
-from .figure4 import Figure4Result, run_figure4
-from .figure5 import Figure5Result, run_figure5
-from .summary import HeadlineClaims, SummaryResult, run_summary
-from .table1 import Table1Result, run_table1
-from .table2 import Table2Result, run_table2
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentScale",
-    "component_corpora",
-    "mixed_corpus",
-    "Figure4Result",
-    "run_figure4",
-    "Figure5Result",
-    "run_figure5",
-    "HeadlineClaims",
-    "SummaryResult",
-    "run_summary",
-    "Table1Result",
-    "run_table1",
-    "Table2Result",
-    "run_table2",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".common": ["ExperimentScale", "component_corpora", "mixed_corpus"],
+    ".figure4": ["Figure4Result", "run_figure4"],
+    ".figure5": ["Figure5Result", "run_figure5"],
+    ".summary": ["HeadlineClaims", "SummaryResult", "run_summary"],
+    ".table1": ["Table1Result", "run_table1"],
+    ".table2": ["Table2Result", "run_table2"],
+})

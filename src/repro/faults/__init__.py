@@ -39,29 +39,13 @@ Typical chaos-test shape::
         client.slice(0, len(client))            # rides out the faults
 """
 
-from .io import FaultyFile, open_faulty
-from .proxy import FaultyProxy
-from .schedule import (
-    BitFlip,
-    ConnectionFault,
-    ConnectionFaultPlan,
-    FaultSchedule,
-    ReadFault,
-    ReadFaultPlan,
-    Truncation,
-    apply_corruptions,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BitFlip",
-    "ConnectionFault",
-    "ConnectionFaultPlan",
-    "FaultSchedule",
-    "FaultyFile",
-    "FaultyProxy",
-    "ReadFault",
-    "ReadFaultPlan",
-    "Truncation",
-    "apply_corruptions",
-    "open_faulty",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".io": ["FaultyFile", "open_faulty"],
+    ".proxy": ["FaultyProxy"],
+    ".schedule": [
+        "BitFlip", "ConnectionFault", "ConnectionFaultPlan", "FaultSchedule",
+        "ReadFault", "ReadFaultPlan", "Truncation", "apply_corruptions",
+    ],
+})

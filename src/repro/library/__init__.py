@@ -50,7 +50,7 @@ Packing::
     engine = ZSmilesEngine.from_dictionary("shared.dct")
     info = pack_library("corpus.library", smiles, engine, shards=8)
     # or: zsmiles pack corpus.smi -d shared.dct --shards 8
-    # whole shards in parallel across processes (byte-identical):
+    # on 4 worker processes when a pool repays its start (byte-identical):
     #     zsmiles pack corpus.smi -d shared.dct --shards 8 --shard-jobs 4
     # concatenate packed libraries without repacking (manifest-only):
     #     zsmiles compose corpora/batch-*.library -o corpora
@@ -112,51 +112,21 @@ being pointed at a manifest — no code change.  New code that knows it is
 serving packed corpora should call :meth:`CorpusLibrary.open` directly.
 """
 
-from .async_api import (
-    DEFAULT_POOL_SIZE,
-    DEFAULT_STREAM_BATCH,
-    AsyncCorpusLibrary,
-    open_async_reader,
-)
-from .compose import compose_libraries, compose_manifests
-from .corpus import CorpusLibrary
-from .manifest import (
-    MANIFEST_FORMAT,
-    MANIFEST_NAME,
-    MANIFEST_VERSION,
-    LibraryManifest,
-    ShardEntry,
-    is_packed_path,
-    resolve_manifest_path,
-)
-from .writer import (
-    SHARD_NAME_FORMAT,
-    LibraryInfo,
-    LibraryWriter,
-    pack_library,
-    pack_library_file,
-    split_counts,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AsyncCorpusLibrary",
-    "CorpusLibrary",
-    "DEFAULT_POOL_SIZE",
-    "DEFAULT_STREAM_BATCH",
-    "LibraryInfo",
-    "LibraryManifest",
-    "LibraryWriter",
-    "MANIFEST_FORMAT",
-    "MANIFEST_NAME",
-    "MANIFEST_VERSION",
-    "SHARD_NAME_FORMAT",
-    "ShardEntry",
-    "compose_libraries",
-    "compose_manifests",
-    "is_packed_path",
-    "open_async_reader",
-    "pack_library",
-    "pack_library_file",
-    "resolve_manifest_path",
-    "split_counts",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".async_api": [
+        "DEFAULT_POOL_SIZE", "DEFAULT_STREAM_BATCH", "AsyncCorpusLibrary",
+        "open_async_reader",
+    ],
+    ".compose": ["compose_libraries", "compose_manifests"],
+    ".corpus": ["CorpusLibrary"],
+    ".manifest": [
+        "MANIFEST_FORMAT", "MANIFEST_NAME", "MANIFEST_VERSION", "LibraryManifest",
+        "ShardEntry", "is_packed_path", "resolve_manifest_path",
+    ],
+    ".writer": [
+        "SHARD_NAME_FORMAT", "LibraryInfo", "LibraryWriter", "pack_library",
+        "pack_library_file", "split_counts",
+    ],
+})

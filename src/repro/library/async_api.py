@@ -130,14 +130,19 @@ class AsyncCorpusLibrary:
             # queued behind a full pool must not reopen files that close()
             # released in the meantime.
             self._check_open()
-            try:
-                return await asyncio.to_thread(fn)
-            finally:
-                # A close() racing an uncancellable worker thread may have
-                # been undone by a shard lazily reopening its file; re-close
-                # here so nothing leaks past shutdown.
-                if self._closed:
-                    self.library.close()
+            return await asyncio.to_thread(self._load, fn)
+
+    def _load(self, fn: Callable[[], T]) -> T:
+        """Run *fn* in its worker thread, closing what it reopened after close()."""
+        try:
+            return fn()
+        finally:
+            # A close() that ran while fn was loading may have been undone
+            # by a shard lazily reopening its file.  The re-close runs here,
+            # in the thread, after the load: the awaiting task may be long
+            # gone (cancelled), and its own cleanup ran at the cancellation.
+            if self._closed:
+                self.library.close()
 
     # ------------------------------------------------------------------ #
     # Access

@@ -2,34 +2,32 @@
 
 A library pack splits the corpus into N contiguous chunks, packs each chunk
 into its own ``.zss`` shard through the
-:class:`~repro.engine.ZSmilesEngine` batch surface (``backend="auto"`` /
-``jobs`` spread each shard's blocks over the process pool; every path —
-in-process and worker — compresses through the flat-array kernel of
-:mod:`repro.engine.kernel`), and writes the ``library.json`` manifest
-recording every shard's global record range.
+:class:`~repro.engine.ZSmilesEngine` batch surface, and writes the
+``library.json`` manifest recording every shard's global record range.
 
 Because records are compressed one line at a time, the shard split never
 changes the stored bytes: a 4-shard library holds exactly the records a
 single-shard pack would, just cut at different file boundaries — which is
 what the cross-shard parity tests pin.
 
-Shards pack sequentially by default (each shard's *blocks* may still spread
-over the engine's process pool).  With ``shard_jobs=N`` (``cli pack
---shard-jobs N``) whole shards pack concurrently across worker processes
-instead — each worker rebuilds the engine from the pickled codec and packs
-one shard through the in-process kernel — and the output is byte-identical
-to a sequential pack (pinned by the parallel-packing parity tests).
+Shards pack one after another, and every writer batch of every shard goes
+through one backend, which :meth:`~repro.engine.ZSmilesEngine.pack_backend`
+chooses once for the whole pack.  With ``backend="auto"`` (the default) the
+pack's first batch is compressed in-process and timed, and the rest go to a
+pool of ``shard_jobs`` worker processes (``cli pack --shard-jobs N``; by
+default the engine's worker count) only if that pool repays its start on
+the records left; otherwise the whole pack runs in-process.  An explicit
+backend is obeyed.  Any pool is shut down when the pack ends, and the
+output is byte-identical whichever way it ran (pinned by the
+parallel-packing parity tests).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..core.codec import ZSmilesCodec
 from ..dictionary.serialization import DictionaryIdentity
 from ..engine.engine import ZSmilesEngine
 from ..errors import LibraryError
@@ -96,34 +94,6 @@ class LibraryInfo:
         return self.payload_bytes / self.original_bytes
 
 
-def _pack_shard_job(
-    path_str: str,
-    records: List[str],
-    codec: ZSmilesCodec,
-    records_per_block: int,
-    batch_blocks: int,
-    metadata: Dict[str, object],
-    embed_dictionary: bool,
-) -> StoreInfo:
-    """Pack one shard in a worker process (module-level: must pickle).
-
-    The engine is rebuilt from the pickled codec with the in-process kernel
-    backend — never ``"auto"``, which could nest a process pool inside the
-    worker.  Per-record output is backend-invariant, so the shard bytes are
-    identical to a sequential pack.
-    """
-    with ZSmilesEngine.from_codec(codec, backend="kernel") as engine:
-        return pack_records(
-            Path(path_str),
-            records,
-            engine,
-            records_per_block=records_per_block,
-            batch_blocks=batch_blocks,
-            metadata=metadata,
-            embed_dictionary=embed_dictionary,
-        )
-
-
 def split_counts(total: int, shards: int) -> List[int]:
     """Balanced contiguous chunk sizes: ``total`` records over ``shards`` shards.
 
@@ -159,10 +129,11 @@ class LibraryWriter:
         Embed the engine's dictionary in every shard footer so each shard —
         and therefore the library — is self-describing.
     shard_jobs:
-        Worker processes packing whole shards concurrently (``None``/1 =
-        sequential).  Byte-identical to the sequential pack; most useful
-        for many-shard libraries where per-shard batches are too small to
-        feed the engine's block-level process pool.
+        Worker processes of the pool the pack compresses on, used only
+        when that pool would repay its start (``None`` = the engine's
+        worker count; 1 = always in-process); see
+        :meth:`~repro.engine.ZSmilesEngine.pack_backend`.  The bytes are
+        the same whichever way the pack runs.
     """
 
     def __init__(
@@ -209,38 +180,9 @@ class LibraryWriter:
             }
             for shard_no in range(len(counts))
         ]
-        jobs = min(self.shard_jobs or 1, len(counts))
-        if jobs > 1:
-            # Whole shards across processes: same spawn discipline as the
-            # engine's ProcessPoolBackend, shard order preserved by map().
-            # The chunk list is a second copy of the corpus, but the workers
-            # need the records shipped to them anyway.
-            chunks: List[List[str]] = []
-            cursor = 0
-            for count in counts:
-                chunks.append(records[cursor : cursor + count])
-                cursor += count
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=multiprocessing.get_context("spawn"),
-            ) as pool:
-                infos = list(
-                    pool.map(
-                        _pack_shard_job,
-                        [str(path) for path in paths],
-                        chunks,
-                        [self.engine.codec] * len(counts),
-                        [self.records_per_block] * len(counts),
-                        [self.batch_blocks] * len(counts),
-                        shard_metadata,
-                        [self.embed_dictionary] * len(counts),
-                    )
-                )
-        else:
-            # Sequential: slice one shard's records transiently per
-            # iteration rather than materializing every chunk up front.
-            infos = []
-            cursor = 0
+        infos = []
+        cursor = 0
+        with self.engine.pack_backend(len(records), self.shard_jobs, self.backend) as backend:
             for path, count, meta in zip(paths, counts, shard_metadata):
                 infos.append(
                     pack_records(
@@ -248,7 +190,7 @@ class LibraryWriter:
                         records[cursor : cursor + count],
                         self.engine,
                         records_per_block=self.records_per_block,
-                        backend=self.backend,
+                        backend=backend,
                         batch_blocks=self.batch_blocks,
                         metadata=meta,
                         embed_dictionary=self.embed_dictionary,
@@ -280,7 +222,12 @@ def pack_library(
     embed_dictionary: bool = True,
     shard_jobs: Optional[int] = None,
 ) -> LibraryInfo:
-    """Pack an iterable of plain records into a sharded library at *directory*."""
+    """Pack an iterable of plain records into a sharded library at *directory*.
+
+    *shard_jobs* is the worker count of the pool the pack compresses on,
+    used only when that pool would repay its start; otherwise the pack runs
+    in-process (see :class:`LibraryWriter`).
+    """
     return LibraryWriter(
         directory,
         engine,

@@ -1,18 +1,9 @@
 """Measurement and reporting helpers shared by experiments and benchmarks."""
 
-from .figures import BarChart, LineSeries, figure4_chart, figure5_chart
-from .reporting import ResultTable, comparison_factor, percent_change
-from .timing import Timer, throughput_mb_per_s, time_callable
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BarChart",
-    "LineSeries",
-    "figure4_chart",
-    "figure5_chart",
-    "ResultTable",
-    "comparison_factor",
-    "percent_change",
-    "Timer",
-    "throughput_mb_per_s",
-    "time_callable",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".figures": ["BarChart", "LineSeries", "figure4_chart", "figure5_chart"],
+    ".reporting": ["ResultTable", "comparison_factor", "percent_change"],
+    ".timing": ["Timer", "throughput_mb_per_s", "time_callable"],
+})

@@ -5,29 +5,16 @@ Real process-pool execution is the engine's ``process`` backend
 re-exported from :mod:`repro.engine.config` for its pool size.
 """
 
-from ..engine.config import default_worker_count
-from .gpu_model import (
-    CPU_PROFILE,
-    GPU_PROFILE,
-    WARP_SIZE,
-    DeviceProfile,
-    KernelCounters,
-    SimulatedDevice,
-)
-from .kernels import compression_kernel, decompression_kernel
-from .performance_model import PerformancePoint, PerformanceSweep, run_performance_sweep
+from .._lazy import lazy_exports
 
-__all__ = [
-    "default_worker_count",
-    "CPU_PROFILE",
-    "GPU_PROFILE",
-    "WARP_SIZE",
-    "DeviceProfile",
-    "KernelCounters",
-    "SimulatedDevice",
-    "compression_kernel",
-    "decompression_kernel",
-    "PerformancePoint",
-    "PerformanceSweep",
-    "run_performance_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "..engine.config": ["default_worker_count"],
+    ".gpu_model": [
+        "CPU_PROFILE", "GPU_PROFILE", "WARP_SIZE", "DeviceProfile", "KernelCounters",
+        "SimulatedDevice",
+    ],
+    ".kernels": ["compression_kernel", "decompression_kernel"],
+    ".performance_model": [
+        "PerformancePoint", "PerformanceSweep", "run_performance_sweep",
+    ],
+})

@@ -1,25 +1,13 @@
 """SMILES preprocessing (Section IV-A of the paper)."""
 
-from .pipeline import (
-    PreprocessingPipeline,
-    drop_title_column,
-    make_pipeline,
-    strip_whitespace,
-)
-from .ring_renumber import (
-    RingRenumberPolicy,
-    assign_ring_ids,
-    renumber_rings,
-    renumber_tokens,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PreprocessingPipeline",
-    "drop_title_column",
-    "make_pipeline",
-    "strip_whitespace",
-    "RingRenumberPolicy",
-    "assign_ring_ids",
-    "renumber_rings",
-    "renumber_tokens",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".pipeline": [
+        "PreprocessingPipeline", "drop_title_column", "make_pipeline",
+        "strip_whitespace",
+    ],
+    ".ring_renumber": [
+        "RingRenumberPolicy", "assign_ring_ids", "renumber_rings", "renumber_tokens",
+    ],
+})

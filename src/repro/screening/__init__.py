@@ -1,18 +1,11 @@
 """Virtual screening substrate: the paper's motivating use case (Section I)."""
 
-from .docking import DEFAULT_POCKETS, PocketModel, dock_library, dock_score, top_hits
-from .pipeline import CampaignResult, ScreeningCampaign
-from .storage import StorageFootprint, format_bytes, measure_footprint
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_POCKETS",
-    "PocketModel",
-    "dock_library",
-    "dock_score",
-    "top_hits",
-    "CampaignResult",
-    "ScreeningCampaign",
-    "StorageFootprint",
-    "format_bytes",
-    "measure_footprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".docking": [
+        "DEFAULT_POCKETS", "PocketModel", "dock_library", "dock_score", "top_hits",
+    ],
+    ".pipeline": ["CampaignResult", "ScreeningCampaign"],
+    ".storage": ["StorageFootprint", "format_bytes", "measure_footprint"],
+})

@@ -84,39 +84,16 @@ Consuming it::
     reader = open_reader("http://a:8765,http://b:8765")  # failover reader
 """
 
-from .app import (
-    DEFAULT_GRACE,
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    BackgroundServer,
-    CorpusServer,
-    merge_stats_payloads,
-    run_server,
-)
-from .async_client import AsyncCorpusClient, AsyncFailoverCorpusClient
-from .client import DEFAULT_TIMEOUT, CorpusClient, FailoverCorpusClient
-from .fleet import ServerFleet
-from .protocol import PROTOCOL_VERSION, is_retryable, is_url, split_replica_urls
-from .retry import RetryPolicy, RetryState
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AsyncCorpusClient",
-    "AsyncFailoverCorpusClient",
-    "BackgroundServer",
-    "CorpusClient",
-    "CorpusServer",
-    "DEFAULT_GRACE",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "DEFAULT_TIMEOUT",
-    "FailoverCorpusClient",
-    "PROTOCOL_VERSION",
-    "RetryPolicy",
-    "RetryState",
-    "ServerFleet",
-    "is_retryable",
-    "is_url",
-    "merge_stats_payloads",
-    "run_server",
-    "split_replica_urls",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".app": [
+        "DEFAULT_GRACE", "DEFAULT_HOST", "DEFAULT_PORT", "BackgroundServer",
+        "CorpusServer", "merge_stats_payloads", "run_server",
+    ],
+    ".async_client": ["AsyncCorpusClient", "AsyncFailoverCorpusClient"],
+    ".client": ["DEFAULT_TIMEOUT", "CorpusClient", "FailoverCorpusClient"],
+    ".fleet": ["ServerFleet"],
+    ".protocol": ["PROTOCOL_VERSION", "is_retryable", "is_url", "split_replica_urls"],
+    ".retry": ["RetryPolicy", "RetryState"],
+})

@@ -6,52 +6,22 @@ tokenization, parsing to a molecular graph, writing graphs back to SMILES,
 validation, and ring-bond span analysis.
 """
 
-from .alphabet import (
-    ESCAPE_CHAR,
-    EXTENDED_ASCII,
-    NON_SMILES_PRINTABLE,
-    PRINTABLE_ASCII,
-    SMILES_ALPHABET,
-    is_smiles_char,
-    symbol_code_points,
-)
-from .graph import Atom, Bond, BondOrder, MolecularGraph
-from .parser import SmilesParser, is_parsable, parse
-from .rings import RingSpan, max_simultaneous_rings, pair_ring_bonds, ring_spans, ring_statistics
-from .tokenizer import Token, TokenType, detokenize, is_tokenizable, iter_tokens, tokenize
-from .validate import ValidationReport, is_valid, validate
-from .writer import SmilesWriter, format_atom, write
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ESCAPE_CHAR",
-    "EXTENDED_ASCII",
-    "NON_SMILES_PRINTABLE",
-    "PRINTABLE_ASCII",
-    "SMILES_ALPHABET",
-    "is_smiles_char",
-    "symbol_code_points",
-    "Atom",
-    "Bond",
-    "BondOrder",
-    "MolecularGraph",
-    "SmilesParser",
-    "is_parsable",
-    "parse",
-    "RingSpan",
-    "max_simultaneous_rings",
-    "pair_ring_bonds",
-    "ring_spans",
-    "ring_statistics",
-    "Token",
-    "TokenType",
-    "detokenize",
-    "is_tokenizable",
-    "iter_tokens",
-    "tokenize",
-    "ValidationReport",
-    "is_valid",
-    "validate",
-    "SmilesWriter",
-    "format_atom",
-    "write",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".alphabet": [
+        "ESCAPE_CHAR", "EXTENDED_ASCII", "NON_SMILES_PRINTABLE", "PRINTABLE_ASCII",
+        "SMILES_ALPHABET", "is_smiles_char", "symbol_code_points",
+    ],
+    ".graph": ["Atom", "Bond", "BondOrder", "MolecularGraph"],
+    ".parser": ["SmilesParser", "is_parsable", "parse"],
+    ".rings": [
+        "RingSpan", "max_simultaneous_rings", "pair_ring_bonds", "ring_spans",
+        "ring_statistics",
+    ],
+    ".tokenizer": [
+        "Token", "TokenType", "detokenize", "is_tokenizable", "iter_tokens", "tokenize",
+    ],
+    ".validate": ["ValidationReport", "is_valid", "validate"],
+    ".writer": ["SmilesWriter", "format_atom", "write"],
+})

@@ -70,57 +70,21 @@ defect has a *typed* detection path, a degraded-service mode, and a repair:
     complete checkpoint, previous or current.
 """
 
-from .format import (
-    DICTIONARY_META_KEY,
-    MAGIC,
-    STORE_SUFFIX,
-    VERSION,
-    BlockInfo,
-    StoreFooter,
-    read_footer,
-)
-from .fsck import FsckIssue, FsckReport, RepairResult, fsck_path, repair_path
-from .protocol import RecordReader, open_reader
-from .reader import (
-    DEFAULT_CACHE_BLOCKS,
-    BlockCache,
-    BlockCacheView,
-    ShardReader,
-    read_store_records,
-)
-from .writer import (
-    DEFAULT_RECORDS_PER_BLOCK,
-    ShardWriter,
-    StoreInfo,
-    pack_compressed_records,
-    pack_file,
-    pack_records,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DICTIONARY_META_KEY",
-    "DEFAULT_CACHE_BLOCKS",
-    "DEFAULT_RECORDS_PER_BLOCK",
-    "MAGIC",
-    "STORE_SUFFIX",
-    "VERSION",
-    "BlockCache",
-    "BlockCacheView",
-    "BlockInfo",
-    "FsckIssue",
-    "FsckReport",
-    "RecordReader",
-    "RepairResult",
-    "ShardReader",
-    "ShardWriter",
-    "StoreFooter",
-    "StoreInfo",
-    "fsck_path",
-    "open_reader",
-    "repair_path",
-    "pack_compressed_records",
-    "pack_file",
-    "pack_records",
-    "read_footer",
-    "read_store_records",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".format": [
+        "DICTIONARY_META_KEY", "MAGIC", "STORE_SUFFIX", "VERSION", "BlockInfo",
+        "StoreFooter", "read_footer",
+    ],
+    ".fsck": ["FsckIssue", "FsckReport", "RepairResult", "fsck_path", "repair_path"],
+    ".protocol": ["RecordReader", "open_reader"],
+    ".reader": [
+        "DEFAULT_CACHE_BLOCKS", "BlockCache", "BlockCacheView", "ShardReader",
+        "read_store_records",
+    ],
+    ".writer": [
+        "DEFAULT_RECORDS_PER_BLOCK", "ShardWriter", "StoreInfo",
+        "pack_compressed_records", "pack_file", "pack_records",
+    ],
+})

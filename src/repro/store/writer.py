@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, List, Optional, Sequence, Union
 
 from ..dictionary import serialization
-from ..engine.engine import ZSmilesEngine
+from ..engine.engine import BackendLike, ZSmilesEngine
 from ..errors import StoreError
 from .format import (
     BlockInfo,
@@ -100,7 +100,9 @@ class ShardWriter:
         the one).
     backend:
         Engine backend name for packing batches (``None`` = the engine's
-        configured backend, typically ``"auto"``).
+        configured backend, typically ``"auto"``), or a backend instance
+        such as the one a library pack chose
+        (:meth:`~repro.engine.ZSmilesEngine.pack_backend`).
     batch_blocks:
         Blocks' worth of records accumulated before one engine batch runs;
         larger values give the process pool bigger batches to spread over
@@ -117,7 +119,7 @@ class ShardWriter:
         target: Union[PathLike, BinaryIO],
         engine: Optional[ZSmilesEngine] = None,
         records_per_block: int = DEFAULT_RECORDS_PER_BLOCK,
-        backend: Optional[str] = None,
+        backend: BackendLike = None,
         batch_blocks: int = DEFAULT_BATCH_BLOCKS,
         metadata: Optional[dict] = None,
         embed_dictionary: bool = True,
@@ -285,7 +287,7 @@ def pack_records(
     records: Iterable[str],
     engine: ZSmilesEngine,
     records_per_block: int = DEFAULT_RECORDS_PER_BLOCK,
-    backend: Optional[str] = None,
+    backend: BackendLike = None,
     batch_blocks: int = DEFAULT_BATCH_BLOCKS,
     metadata: Optional[dict] = None,
     embed_dictionary: bool = True,
@@ -327,7 +329,7 @@ def pack_file(
     output_path: Optional[PathLike] = None,
     engine: Optional[ZSmilesEngine] = None,
     records_per_block: int = DEFAULT_RECORDS_PER_BLOCK,
-    backend: Optional[str] = None,
+    backend: BackendLike = None,
     batch_blocks: int = DEFAULT_BATCH_BLOCKS,
     metadata: Optional[dict] = None,
     embed_dictionary: bool = True,

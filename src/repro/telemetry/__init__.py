@@ -75,67 +75,19 @@ and in every error envelope, so one failing request can be followed from
 a client retry chain into the exact worker that refused it.
 """
 
-from .logs import AccessLogger, open_access_log
-from .metrics import (
-    Counter,
-    DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    TELEMETRY_ENV_VAR,
-    counter,
-    gauge,
-    get_registry,
-    histogram,
-    merge_snapshots,
-    render_prometheus,
-    set_registry,
-    snapshot_to_json,
-    telemetry_enabled,
-)
-from .tracing import (
-    HEADER_REQUEST_ID,
-    HEADER_TRACE_ID,
-    Span,
-    SpanExporter,
-    current_trace_id,
-    get_exporter,
-    new_trace_id,
-    set_exporter,
-    start_span,
-    trace_context,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccessLogger",
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_SIZE_BUCKETS",
-    "Gauge",
-    "HEADER_REQUEST_ID",
-    "HEADER_TRACE_ID",
-    "Histogram",
-    "MetricFamily",
-    "MetricsRegistry",
-    "Span",
-    "SpanExporter",
-    "TELEMETRY_ENV_VAR",
-    "counter",
-    "current_trace_id",
-    "gauge",
-    "get_exporter",
-    "get_registry",
-    "histogram",
-    "merge_snapshots",
-    "new_trace_id",
-    "open_access_log",
-    "render_prometheus",
-    "set_exporter",
-    "set_registry",
-    "snapshot_to_json",
-    "start_span",
-    "telemetry_enabled",
-    "trace_context",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".logs": ["AccessLogger", "open_access_log"],
+    ".metrics": [
+        "Counter", "DEFAULT_LATENCY_BUCKETS", "DEFAULT_SIZE_BUCKETS", "Gauge",
+        "Histogram", "MetricFamily", "MetricsRegistry", "TELEMETRY_ENV_VAR", "counter",
+        "gauge", "get_registry", "histogram", "merge_snapshots", "render_prometheus",
+        "set_registry", "snapshot_to_json", "telemetry_enabled",
+    ],
+    ".tracing": [
+        "HEADER_REQUEST_ID", "HEADER_TRACE_ID", "Span", "SpanExporter",
+        "current_trace_id", "get_exporter", "new_trace_id", "set_exporter",
+        "start_span", "trace_context",
+    ],
+})

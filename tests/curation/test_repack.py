@@ -9,15 +9,19 @@ library is left untouched.
 
 from __future__ import annotations
 
+import multiprocessing
 import shutil
 
 import pytest
 
 from repro.curation import DictionaryIdentity, repack_library
-from repro.engine import ZSmilesEngine
+from repro.engine import ProcessPoolBackend, ZSmilesEngine
+from repro.engine import config as config_module
 from repro.errors import CurationError, DictionaryMismatchError
 from repro.library import CorpusLibrary, LibraryManifest, pack_library
 from repro.server import BackgroundServer, CorpusClient
+
+from ..library.test_parallel_pack import forbid_processes, spy_batches
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +35,17 @@ def dict_b_engine(corpus):
 
 @pytest.fixture(scope="module")
 def repacked(tmp_path_factory, library_dir, dict_b_engine):
+    """The repack at ``shard_jobs=2``, with the pool's start cost patched to
+    0 so that it runs on a 2-worker engine pool."""
     destination = tmp_path_factory.mktemp("repack") / "corpus.v2.library"
-    result = repack_library(
-        library_dir, destination, dict_b_engine.table, shard_jobs=2
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(config_module, "POOL_START_COST_S", 0.0)
+        pooled = spy_batches(patch, ProcessPoolBackend)
+        result = repack_library(
+            library_dir, destination, dict_b_engine.table, shard_jobs=2
+        )
+        assert multiprocessing.active_children() == []
+    assert pooled and {backend.workers for backend, _ in pooled} == {2}
     return destination, result
 
 
@@ -66,6 +77,25 @@ class TestRepackParity:
     def test_source_left_untouched(self, repacked, library_dir, corpus):
         with CorpusLibrary.open(library_dir) as source:
             assert list(source.iter_all()) == list(corpus)
+
+    @pytest.mark.parametrize("shard_jobs", [None, 1, 2])
+    def test_default_start_cost_repacks_in_process(
+        self, repacked, tmp_path, library_dir, dict_b_engine, monkeypatch, shard_jobs
+    ):
+        """At test scale no pool repays its start: no process starts, and
+        the shards are the pooled repack's bytes."""
+        forbid_processes(monkeypatch)
+        destination, _ = repacked
+        result = repack_library(
+            library_dir, tmp_path / "local.library", dict_b_engine.table,
+            shard_jobs=shard_jobs,
+        )
+        assert multiprocessing.active_children() == []
+        for shard in destination.glob("*.zss"):
+            assert (result.directory / shard.name).read_bytes() == shard.read_bytes()
+        assert result.info.manifest.shards == LibraryManifest.load(
+            destination / "library.json"
+        ).shards
 
 
 class TestIdentityPinning:

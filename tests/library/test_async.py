@@ -338,13 +338,12 @@ def track_shard_files(monkeypatch) -> list:
 
 
 class TestCloseRaces:
-    @pytest.mark.parametrize("use_mmap", [False, True])
-    def test_close_during_a_load_leaves_no_file_open(
-        self, library_dir, reference, monkeypatch, use_mmap
-    ):
-        """close() while a cold load waits in its worker thread: the load
-        then reopens its shard, and the re-close after it closes that file
-        again, so no reader keeps a handle, a map or a retired file."""
+    @staticmethod
+    def close_during_a_held_load(library_dir, monkeypatch, use_mmap, cancel):
+        """Hold a cold ``get(45)`` in its worker thread, optionally cancel
+        the task awaiting it, close(), then let the load go on: it reopens
+        its shard.  Returns the read's outcome, the library and every shard
+        file opened; ``asyncio.run`` returns after the thread has ended."""
         files = track_shard_files(monkeypatch)
         entered, release = threading.Event(), threading.Event()
         load = ShardReader._load_payload
@@ -360,12 +359,19 @@ class TestCloseRaces:
             lib = AsyncCorpusLibrary.open(library_dir, pool_size=2, use_mmap=use_mmap)
             read = asyncio.ensure_future(lib.get(45))
             assert await asyncio.to_thread(entered.wait, 30)
+            if cancel:
+                read.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await read
             lib.close()
             release.set()
-            assert await read == reference[45]
-            return lib.library
+            return (None if cancel else await read), lib.library
 
-        library = run(main())
+        got, library = run(main())
+        return got, library, files
+
+    @staticmethod
+    def assert_no_file_open(library, files, use_mmap):
         opened = [reader for reader in library._readers if reader is not None]
         assert len(opened) == 1
         assert all(reader._file is None for reader in opened)
@@ -374,6 +380,29 @@ class TestCloseRaces:
             assert file.handle.closed
             assert (file.map is None) == (not use_mmap)
             assert file.map is None or file.map.closed
+
+    @pytest.mark.parametrize("use_mmap", [False, True])
+    def test_close_during_a_load_leaves_no_file_open(
+        self, library_dir, reference, monkeypatch, use_mmap
+    ):
+        """close() while a cold load waits in its worker thread: the load
+        then reopens its shard, and the re-close after it closes that file
+        again, so no reader keeps a handle, a map or a retired file."""
+        got, library, files = self.close_during_a_held_load(
+            library_dir, monkeypatch, use_mmap, cancel=False
+        )
+        assert got == reference[45]
+        self.assert_no_file_open(library, files, use_mmap)
+
+    @pytest.mark.parametrize("use_mmap", [False, True])
+    def test_cancelled_load_leaves_no_file_open(self, library_dir, monkeypatch, use_mmap):
+        """As above, with the awaiting task cancelled before close(): the
+        task's cleanup runs at the cancellation, before close(), so the
+        re-close must run in the worker thread, after the load."""
+        _, library, files = self.close_during_a_held_load(
+            library_dir, monkeypatch, use_mmap, cancel=True
+        )
+        self.assert_no_file_open(library, files, use_mmap)
 
 
 @pytest.fixture(scope="module")
