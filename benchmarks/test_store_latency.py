@@ -1,4 +1,4 @@
-"""Serving-path latency: flat vs ``.zss`` vs sharded library vs mmap vs async.
+"""Serving-path latency: flat vs ``.zss`` vs sharded library vs async.
 
 Times single-get and batched-get requests against every serving layout over
 the same corpus and reports one comparison table.  This is a *smoke-friendly*
@@ -59,7 +59,6 @@ def layouts(tmp_path_factory, shared_codec, serving_corpus):
         "flat .zsmi": lambda: RandomAccessReader(zsmi, index=index, codec=shared_codec),
         "single .zss": lambda: CorpusLibrary.open(zss),
         "sharded library": lambda: CorpusLibrary.open(library_dir),
-        "sharded + mmap": lambda: CorpusLibrary.open(library_dir, use_mmap=True),
     }, library_dir
 
 

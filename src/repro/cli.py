@@ -20,7 +20,7 @@ needs:
   without repacking a single shard (manifest-level composition).
 * ``zsmiles unpack``      — expand a ``.zss`` store or a sharded library back to ``.smi``.
 * ``zsmiles query``       — serve individual records out of a ``.zss`` store or library,
-  decoding only the blocks touched (``--cache-blocks`` / ``--mmap`` tune serving;
+  decoding only the blocks touched (``--cache-blocks`` sizes the block cache;
   ``--verbose`` reports block-cache hit/miss counters).
 * ``zsmiles fsck``        — scrub a packed corpus (``repro.store.fsck``): verify footers,
   every block CRC, manifest↔footer agreement and dictionary identities;
@@ -29,9 +29,6 @@ needs:
 * ``zsmiles serve``       — serve a packed corpus over HTTP (``repro.server``): single
   records, batches and chunked range streams out of one async library, with
   ``/stats`` + ``/healthz`` and graceful shutdown on SIGINT/SIGTERM.
-* ``zsmiles serve-bench`` — measure single-get / batched-get serving latency of any
-  corpus layout (flat, ``.zss``, sharded library, mmap, async pool); ``--json PATH``
-  also writes the measurements machine-readably.
 * ``zsmiles stats``       — report the compression ratio a dictionary achieves on a file.
 * ``zsmiles generate``    — emit one of the synthetic datasets (for demos / tests).
 * ``zsmiles experiment``  — regenerate one of the paper's tables / figures
@@ -64,18 +61,11 @@ from .datasets import exscalate, gdb17, mediate, mixed
 from .datasets.io import read_smiles, write_smi
 from .dictionary.prepopulation import PrePopulation
 from .engine import BACKEND_CHOICES, ZSmilesEngine
-from .library import (
-    DEFAULT_POOL_SIZE,
-    AsyncCorpusLibrary,
-    CorpusLibrary,
-    compose_libraries,
-    is_packed_path,
-    pack_library_file,
-)
+from .library import DEFAULT_POOL_SIZE, CorpusLibrary, compose_libraries, pack_library_file
 from .errors import ServerError
 from .server.app import DEFAULT_HOST as SERVER_DEFAULT_HOST
 from .server.app import DEFAULT_PORT as SERVER_DEFAULT_PORT
-from .store import DEFAULT_CACHE_BLOCKS, STORE_SUFFIX, RecordReader, open_reader, pack_file
+from .store import DEFAULT_CACHE_BLOCKS, STORE_SUFFIX, pack_file
 from .store.writer import DEFAULT_RECORDS_PER_BLOCK
 from .experiments import (
     ExperimentScale,
@@ -201,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--cache-blocks", type=int, default=DEFAULT_CACHE_BLOCKS,
                        metavar="N", help="blocks kept in the LRU cache "
                                          f"(default: {DEFAULT_CACHE_BLOCKS})")
-    query.add_argument("--mmap", action="store_true",
-                       help="serve block reads from a read-only memory map")
     query.add_argument("-v", "--verbose", action="store_true",
                        help="report block-cache hit/miss counters on stderr")
 
@@ -242,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-blocks", type=int, default=DEFAULT_CACHE_BLOCKS,
                        metavar="N", help="shared LRU budget of cached blocks "
                                          f"(default: {DEFAULT_CACHE_BLOCKS})")
-    serve.add_argument("--mmap", action="store_true",
-                       help="serve block reads from read-only memory maps")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
                        help="worker processes behind one port (default 1: "
                             "in-process server; >1 pre-forks a fleet via "
@@ -251,30 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--access-log", default=None, metavar="PATH",
                        help="append one JSON line per request to PATH "
                             "('-' = stdout; off by default)")
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="measure single-get and batched-get serving latency of a corpus",
-    )
-    serve_bench.add_argument("input", type=Path,
-                             help="flat file, .zss store, library directory or manifest")
-    serve_bench.add_argument("-d", "--dictionary", type=Path, default=None,
-                             help="dictionary for flat compressed files / override")
-    serve_bench.add_argument("--requests", type=int, default=256, metavar="N",
-                             help="random single-get requests to time (default: 256)")
-    serve_bench.add_argument("--batch-size", type=int, default=64, metavar="B",
-                             help="indices per get_many batch (default: 64)")
-    serve_bench.add_argument("--pool-size", type=int, default=4, metavar="P",
-                             help="async reader-pool size (default: 4)")
-    serve_bench.add_argument("--cache-blocks", type=int, default=DEFAULT_CACHE_BLOCKS,
-                             metavar="N", help="LRU cache capacity for packed layouts")
-    serve_bench.add_argument("--mmap", action="store_true",
-                             help="serve packed block reads from a memory map")
-    serve_bench.add_argument("--seed", type=int, default=0,
-                             help="RNG seed for the request index sequence")
-    serve_bench.add_argument("--json", type=Path, default=None, metavar="PATH",
-                             help="also write the measurements as machine-readable "
-                                  "JSON (requests/sec and us/request per mode)")
 
     stats = sub.add_parser(
         "stats",
@@ -522,16 +484,6 @@ def _cmd_get(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_corpus(
-    path: Path,
-    codec=None,
-    cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-    use_mmap: bool = False,
-):
-    """Open a packed corpus: a library (directory / manifest) or one ``.zss``."""
-    return CorpusLibrary.open(path, codec=codec, cache_blocks=cache_blocks, use_mmap=use_mmap)
-
-
 def _cmd_pack(args: argparse.Namespace) -> int:
     if args.block_size < 1:
         print("error: --block-size must be >= 1", file=sys.stderr)
@@ -589,7 +541,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 def _cmd_unpack(args: argparse.Namespace) -> int:
     codec = _load_engine(args.dictionary).codec if args.dictionary else None
     output = args.output or args.input.with_suffix(SMI_SUFFIX)
-    with _open_corpus(args.input, codec=codec) as store:
+    with CorpusLibrary.open(args.input, codec=codec) as store:
         count = write_lines(output, store.iter_all())
     print(f"unpacked {count} records -> {output}")
     return 0
@@ -617,12 +569,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("error: --cache-blocks must be >= 1", file=sys.stderr)
         return 2
     codec = _load_engine(args.dictionary).codec if args.dictionary else None
-    with _open_corpus(
-        args.input,
-        codec=codec,
-        cache_blocks=args.cache_blocks,
-        use_mmap=args.mmap,
-    ) as store:
+    with CorpusLibrary.open(args.input, codec=codec, cache_blocks=args.cache_blocks) as store:
         for index in args.indices:
             print(store.get_raw(index) if args.raw else store.get(index))
         if args.verbose:
@@ -827,115 +774,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             readers=args.readers,
             cache_blocks=args.cache_blocks,
-            use_mmap=args.mmap,
             access_log=args.access_log,
         )
     except ServerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import asyncio
-    import random
-    import time
-
-    if args.requests < 1 or args.batch_size < 1 or args.pool_size < 1:
-        print("error: --requests, --batch-size and --pool-size must be >= 1",
-              file=sys.stderr)
-        return 2
-    if args.cache_blocks < 1:
-        print("error: --cache-blocks must be >= 1", file=sys.stderr)
-        return 2
-    codec = _load_engine(args.dictionary).codec if args.dictionary else None
-    packed = is_packed_path(args.input)
-
-    def open_target() -> RecordReader:
-        if packed:
-            return _open_corpus(
-                args.input, codec=codec,
-                cache_blocks=args.cache_blocks, use_mmap=args.mmap,
-            )
-        return open_reader(args.input, codec=codec)
-
-    with open_target() as reader:
-        total = len(reader)
-        if total == 0:
-            print("error: corpus is empty", file=sys.stderr)
-            return 2
-        rng = random.Random(args.seed)
-        indices = [rng.randrange(total) for _ in range(args.requests)]
-
-        start = time.perf_counter()
-        singles = [reader.get(i) for i in indices]
-        single_s = time.perf_counter() - start
-
-        batches = [indices[i : i + args.batch_size]
-                   for i in range(0, len(indices), args.batch_size)]
-        start = time.perf_counter()
-        batched = [record for batch in batches for record in reader.get_many(batch)]
-        batched_s = time.perf_counter() - start
-        if batched != singles:
-            print("error: batched reads disagree with single gets", file=sys.stderr)
-            return 1
-
-    label = f"{total} records, layout={'packed' if packed else 'flat'}"
-    if args.mmap and packed:
-        label += ", mmap"
-    print(f"serve-bench: {args.input} ({label})")
-    print(f"  single get : {args.requests} requests in {single_s * 1e3:8.2f} ms "
-          f"({single_s / args.requests * 1e6:8.1f} us/req)")
-    print(f"  get_many   : {len(batches)} batches of <= {args.batch_size} in "
-          f"{batched_s * 1e3:8.2f} ms ({batched_s / args.requests * 1e6:8.1f} us/req)")
-
-    def _mode(seconds: float) -> dict:
-        seconds = max(seconds, 1e-9)
-        return {
-            "seconds": round(seconds, 6),
-            "us_per_request": round(seconds / args.requests * 1e6, 2),
-            "requests_per_sec": round(args.requests / seconds, 1),
-        }
-
-    modes = {"single_get": _mode(single_s), "get_many": _mode(batched_s)}
-
-    if packed:
-        async def run_async() -> tuple:
-            async with AsyncCorpusLibrary.open(
-                args.input, codec=codec, pool_size=args.pool_size,
-                cache_blocks=args.cache_blocks, use_mmap=args.mmap,
-            ) as library:
-                start = time.perf_counter()
-                records = await library.get_many(indices)
-                return records, time.perf_counter() - start
-
-        async_records, async_s = asyncio.run(run_async())
-        if async_records != singles:
-            print("error: async reads disagree with sync gets", file=sys.stderr)
-            return 1
-        print(f"  async pool : {args.requests} requests over {args.pool_size} readers in "
-              f"{async_s * 1e3:8.2f} ms ({async_s / args.requests * 1e6:8.1f} us/req)")
-        modes["async_pool"] = _mode(async_s)
-
-    if args.json is not None:
-        import json as _json
-
-        payload = {
-            "benchmark": "serve_bench",
-            "input": str(args.input),
-            "layout": "packed" if packed else "flat",
-            "mmap": bool(args.mmap and packed),
-            "records": total,
-            "requests": args.requests,
-            "batch_size": args.batch_size,
-            "pool_size": args.pool_size if packed else None,
-            "seed": args.seed,
-            "modes": modes,
-        }
-        args.json.write_text(
-            _json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"  wrote JSON -> {args.json}")
-    return 0
 
 
 def _flatten_metrics_snapshot(snapshot: dict) -> dict:
@@ -1121,7 +964,6 @@ _HANDLERS = {
     "query": _cmd_query,
     "fsck": _cmd_fsck,
     "serve": _cmd_serve,
-    "serve-bench": _cmd_serve_bench,
     "stats": _cmd_stats,
     "generate": _cmd_generate,
     "experiment": _cmd_experiment,

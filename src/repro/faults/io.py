@@ -107,10 +107,10 @@ class FaultyFile(io.RawIOBase):
             self._inner.close()
         super().close()
 
-    # The wrapper deliberately hides the descriptor: an mmap over the real
-    # fd would bypass the fault layer and silently test nothing.
+    # The wrapper deliberately hides the descriptor: a read through the real
+    # fd (``os.pread``) would bypass the fault layer and silently test nothing.
     def fileno(self) -> int:
-        raise OSError("FaultyFile exposes no file descriptor (mmap would bypass faults)")
+        raise OSError("FaultyFile exposes no file descriptor (a read through it skips the faults)")
 
 
 def open_faulty(source: PathLike, plan: Optional[ReadFaultPlan] = None) -> FaultyFile:

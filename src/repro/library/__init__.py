@@ -26,9 +26,8 @@ file object.
 
 **Any packed corpus** (``library.json`` + N ``.zss`` shards, or one bare
 ``.zss``) — :class:`CorpusLibrary`.  The manifest routes global indices to
-shards, shards open lazily, and all shards share one LRU cache budget;
-``use_mmap=True`` serves block reads from read-only memory maps.  Right at
-scale: corpora too big for one file, parallel packing, and concurrent
+shards, shards open lazily, and all shards share one LRU cache budget.
+Right at scale: corpora too big for one file, parallel packing, and concurrent
 serving.  :class:`AsyncCorpusLibrary` wraps one :class:`CorpusLibrary`
 and adds ``await get`` / ``get_many`` / ``stream``, with at most
 ``pool_size`` block loads on worker threads at once, for high-fanout

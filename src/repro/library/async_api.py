@@ -75,8 +75,6 @@ class AsyncCorpusLibrary:
         codec: Optional[ZSmilesCodec] = None,
         pool_size: int = DEFAULT_POOL_SIZE,
         cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-        verify_checksums: bool = True,
-        use_mmap: bool = False,
     ) -> "AsyncCorpusLibrary":
         """Open *source* (library directory / manifest / ``.zss``) once.
 
@@ -86,14 +84,7 @@ class AsyncCorpusLibrary:
         """
         if pool_size < 1:
             raise LibraryError("pool_size must be >= 1")
-        library = CorpusLibrary.open(
-            source,
-            codec=codec,
-            cache_blocks=cache_blocks,
-            verify_checksums=verify_checksums,
-            use_mmap=use_mmap,
-        )
-        return cls(library, pool_size)
+        return cls(CorpusLibrary.open(source, codec=codec, cache_blocks=cache_blocks), pool_size)
 
     # ------------------------------------------------------------------ #
     # The wrapped library
@@ -244,7 +235,6 @@ def open_async_reader(
     codec: Optional[ZSmilesCodec] = None,
     pool_size: int = DEFAULT_POOL_SIZE,
     cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-    use_mmap: bool = False,
 ):
     """The async counterpart of :func:`repro.store.open_reader`.
 
@@ -272,9 +262,5 @@ def open_async_reader(
 
         return AsyncCorpusClient(replica_urls[0])
     return AsyncCorpusLibrary.open(
-        source,
-        codec=codec,
-        pool_size=pool_size,
-        cache_blocks=cache_blocks,
-        use_mmap=use_mmap,
+        source, codec=codec, pool_size=pool_size, cache_blocks=cache_blocks
     )

@@ -59,10 +59,6 @@ class CorpusLibrary(RecordAccessMixin):
     cache_blocks:
         Shared LRU budget: the maximum number of blocks cached across *all*
         shards together.
-    verify_checksums:
-        Validate block CRC-32s when a block is loaded.
-    use_mmap:
-        Serve shard block reads from read-only memory maps.
     """
 
     def __init__(
@@ -71,16 +67,12 @@ class CorpusLibrary(RecordAccessMixin):
         root: PathLike,
         codec: Optional[ZSmilesCodec] = None,
         cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-        verify_checksums: bool = True,
-        use_mmap: bool = False,
     ):
         self.manifest = manifest
         self.root = Path(root)
         #: What was opened: the manifest, or the bare ``.zss`` shard.
         self.path = self.root / MANIFEST_NAME
         self._codec = codec
-        self.verify_checksums = verify_checksums
-        self.use_mmap = use_mmap
         self._cache = BlockCache(cache_blocks)
         self._readers: List[Optional[ShardReader]] = [None] * manifest.shard_count
         self._open_lock = threading.Lock()
@@ -91,17 +83,10 @@ class CorpusLibrary(RecordAccessMixin):
         source: PathLike,
         codec: Optional[ZSmilesCodec] = None,
         cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-        verify_checksums: bool = True,
-        use_mmap: bool = False,
     ) -> "CorpusLibrary":
         """Open a library directory, a ``library.json``, or a bare ``.zss``."""
         path = Path(source)
-        options = dict(
-            codec=codec,
-            cache_blocks=cache_blocks,
-            verify_checksums=verify_checksums,
-            use_mmap=use_mmap,
-        )
+        options = dict(codec=codec, cache_blocks=cache_blocks)
         manifest_path = resolve_manifest_path(path)
         if manifest_path is not None:
             library = cls(LibraryManifest.load(manifest_path), manifest_path.parent, **options)
@@ -111,13 +96,7 @@ class CorpusLibrary(RecordAccessMixin):
             # The one-shard manifest comes from the reader the library
             # keeps: one footer read and one dictionary parse.
             cache = BlockCache(cache_blocks)
-            reader = ShardReader(
-                path,
-                codec=codec,
-                verify_checksums=verify_checksums,
-                use_mmap=use_mmap,
-                cache=BlockCacheView(cache, 0),
-            )
+            reader = ShardReader(path, codec=codec, cache=BlockCacheView(cache, 0))
             try:
                 manifest = LibraryManifest((ShardEntry.describe(path.name, 0, reader),))
             except Exception:
@@ -147,11 +126,7 @@ class CorpusLibrary(RecordAccessMixin):
     def _open_shard(self, shard_no: int) -> ShardReader:
         entry = self.manifest.shards[shard_no]
         reader = ShardReader(
-            self.root / entry.name,
-            codec=self._codec,
-            verify_checksums=self.verify_checksums,
-            use_mmap=self.use_mmap,
-            cache=BlockCacheView(self._cache, shard_no),
+            self.root / entry.name, codec=self._codec, cache=BlockCacheView(self._cache, shard_no)
         )
         try:
             if len(reader) != entry.records:
@@ -202,23 +177,6 @@ class CorpusLibrary(RecordAccessMixin):
     def open_shard_count(self) -> int:
         """How many shards have actually been opened (lazy-open observable)."""
         return sum(1 for reader in self._readers if reader is not None)
-
-    @property
-    def cached_blocks(self) -> int:
-        """Blocks currently held by the shared cache."""
-        return len(self._cache)
-
-    @property
-    def cache_capacity(self) -> int:
-        return self._cache.capacity
-
-    @property
-    def cache_hits(self) -> int:
-        return self._cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self._cache.misses
 
     def cache_stats(self) -> dict:
         """Hit/miss/occupancy snapshot of the shared block cache."""

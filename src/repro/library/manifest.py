@@ -320,7 +320,7 @@ def is_packed_path(path: PathLike) -> bool:
     """Whether *path* is a packed layout: a library manifest/dir or a ``.zss``.
 
     The one dispatch rule shared by every consumer that distinguishes packed
-    from flat corpora (screening, ``cli serve-bench``, ...).
+    from flat corpora (``open_reader``, screening, dataset loading).
     """
     from ..store.format import STORE_SUFFIX
 

@@ -754,7 +754,6 @@ async def serve(
     port: int = 0,
     readers: int = DEFAULT_POOL_SIZE,
     cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-    use_mmap: bool = False,
     stream_batch: int = DEFAULT_STREAM_BATCH,
     access_log: Optional[PathLike] = None,
     reuse_port: bool = False,
@@ -770,7 +769,7 @@ async def serve(
     so a start-up failure propagates with nothing left open.
     """
     library = AsyncCorpusLibrary.open(
-        source, codec=codec, pool_size=readers, cache_blocks=cache_blocks, use_mmap=use_mmap
+        source, codec=codec, pool_size=readers, cache_blocks=cache_blocks
     )
     log = None
     try:
@@ -819,7 +818,6 @@ class BackgroundServer:
         port: int = 0,
         readers: int = DEFAULT_POOL_SIZE,
         cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-        use_mmap: bool = False,
         stream_batch: int = DEFAULT_STREAM_BATCH,
         access_log: Optional[PathLike] = None,
     ):
@@ -830,7 +828,6 @@ class BackgroundServer:
             port=port,
             readers=readers,
             cache_blocks=cache_blocks,
-            use_mmap=use_mmap,
             stream_batch=stream_batch,
             access_log=access_log,
         )
@@ -930,7 +927,6 @@ def run_server(
     port: int = DEFAULT_PORT,
     readers: int = DEFAULT_POOL_SIZE,
     cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-    use_mmap: bool = False,
     access_log: Optional[str] = None,
 ) -> int:
     """Serve *source* in the foreground until SIGINT/SIGTERM (``zsmiles serve``).
@@ -950,7 +946,6 @@ def run_server(
         port=port,
         readers=readers,
         cache_blocks=cache_blocks,
-        use_mmap=use_mmap,
         access_log=access_log,
     )
     stop = threading.Event()
@@ -970,7 +965,7 @@ def run_server(
         try:
             print(
                 f"serving {records} records at {server.url} ({shape}pool={readers}, "
-                f"cache_blocks={cache_blocks}{', mmap' if use_mmap else ''}) — Ctrl-C to stop",
+                f"cache_blocks={cache_blocks}) — Ctrl-C to stop",
                 flush=True,
             )
             stop.wait()

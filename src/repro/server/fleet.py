@@ -51,7 +51,7 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Set, Union
 
 from ..core.codec import ZSmilesCodec
 from ..errors import ServerBusyError, ServerError
@@ -166,7 +166,6 @@ class ServerFleet:
         port: int = 0,
         readers: int = DEFAULT_POOL_SIZE,
         cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-        use_mmap: bool = False,
         stream_batch: int = DEFAULT_STREAM_BATCH,
         prefer_reuse_port: bool = True,
         ready_timeout: float = DEFAULT_READY_TIMEOUT,
@@ -182,7 +181,6 @@ class ServerFleet:
             host=host,
             readers=readers,
             cache_blocks=cache_blocks,
-            use_mmap=use_mmap,
             stream_batch=stream_batch,
             access_log=access_log,
         )
@@ -202,6 +200,7 @@ class ServerFleet:
         self._proxy_ready = threading.Event()
         self._proxy_error: Optional[BaseException] = None
         self._proxy_rr = 0
+        self._proxy_tasks: Set[asyncio.Task] = set()
         self._started = False
         self._stop_lock = threading.Lock()
 
@@ -329,42 +328,55 @@ class ServerFleet:
         self._proxy_ready.set()
         async with server:
             await self._proxy_stop.wait()
+            server.close()
+            # End the connections still open, so none outlives the loop.
+            while self._proxy_tasks:
+                for task in self._proxy_tasks:
+                    task.cancel()
+                await asyncio.wait(self._proxy_tasks)
 
     async def _proxy_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Round-robin one client connection onto a live worker backend."""
+        # The loop holds tasks weakly, and once the client has half-closed
+        # only this set holds the task that pipes the backend's reply.
+        task = asyncio.current_task()
+        self._proxy_tasks.add(task)
+        task.add_done_callback(self._proxy_tasks.discard)
         n = len(self._backend_ports)
         start = self._proxy_rr
         self._proxy_rr = (start + 1) % n  # single loop: plain int is safe
         backend = None
-        for offset in range(n):
-            port = self._backend_ports[(start + offset) % n]
-            try:
-                backend = await asyncio.open_connection(self._host, port)
-                break
-            except OSError:
-                continue  # dead worker: skip to the next backend
-        if backend is None:
-            # Every backend refused: answer with the typed, *retryable*
-            # envelope so failover clients treat the whole fleet as busy.
-            status, body = protocol.encode_error(ServerBusyError("no live fleet workers"))
-            head = wire.response_head(status, protocol.CONTENT_TYPE_JSON, len(body))
-            try:
-                writer.write(head + body)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
+        try:
+            for offset in range(n):
+                port = self._backend_ports[(start + offset) % n]
+                try:
+                    backend = await asyncio.open_connection(self._host, port)
+                    break
+                except OSError:
+                    continue  # dead worker: skip to the next backend
+            if backend is None:
+                # Every backend refused: answer with the typed, *retryable*
+                # envelope so failover clients treat the whole fleet as busy.
+                status, body = protocol.encode_error(ServerBusyError("no live fleet workers"))
+                head = wire.response_head(status, protocol.CONTENT_TYPE_JSON, len(body))
+                try:
+                    writer.write(head + body)
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    pass
+                return
+            backend_reader, backend_writer = backend
+            await asyncio.gather(
+                self._pipe(reader, backend_writer),
+                self._pipe(backend_reader, writer),
+                return_exceptions=True,
+            )
+        finally:
             writer.close()
-            return
-        backend_reader, backend_writer = backend
-        await asyncio.gather(
-            self._pipe(reader, backend_writer),
-            self._pipe(backend_reader, writer),
-            return_exceptions=True,
-        )
-        for w in (backend_writer, writer):
-            w.close()
+            if backend is not None:
+                backend[1].close()
 
     @staticmethod
     async def _pipe(

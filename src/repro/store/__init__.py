@@ -11,7 +11,7 @@ an optional embedded dictionary:
 * :class:`ShardReader` — one shard, from a path or an open file object:
   O(1) record → block lookup, thread-safe LRU-cached block decode
   (capacity via ``cache_blocks``), positional block reads that concurrent
-  threads share, optional mmap-backed reads (``use_mmap=True``), ``get`` /
+  threads share, a CRC-32 check on every block load, ``get`` /
   ``get_many`` / ``slice`` / ``iter_all``,
 * :class:`RecordReader` / :func:`open_reader` — the protocol every serving
   layer satisfies; ``open_reader`` dispatches by path shape.

@@ -21,10 +21,9 @@ loop can serve cached records itself (see
 :class:`~repro.library.AsyncCorpusLibrary`).
 
 A reader serves concurrent loads from many threads.  A shard it opened from
-a path is read positionally (``os.pread``, or a slice of its memory map),
-so loads do not serialize on a seek position and the syscall runs without
-the GIL; a caller's file object is read with ``seek`` + ``read`` under the
-reader's lock.
+a path is read positionally (``os.pread``), so loads do not serialize on a
+seek position and the syscall runs without the GIL; a caller's file object
+is read with ``seek`` + ``read`` under the reader's lock.
 
 Records are independent (the paper's separable SMILES), so a record that
 decodes is served even when another record of its block would raise
@@ -37,7 +36,6 @@ byte-identical to the per-line reference decompressor.
 
 from __future__ import annotations
 
-import mmap as _mmap_module
 import os
 import random
 import threading
@@ -48,7 +46,7 @@ from typing import BinaryIO, Dict, Hashable, Iterable, Iterator, List, Optional,
 
 from ..core.codec import ZSmilesCodec
 from ..dictionary import serialization
-from ..errors import BlockCorruptionError, RandomAccessError, StoreError, StoreFormatError
+from ..errors import BlockCorruptionError, RandomAccessError, StoreFormatError
 from ..telemetry import metrics as _metrics
 from .format import (
     DICTIONARY_HASH_META_KEY,
@@ -213,18 +211,6 @@ class BlockCacheView:
         self.shared = shared
         self.namespace = namespace
 
-    @property
-    def capacity(self) -> int:
-        return self.shared.capacity
-
-    @property
-    def hits(self) -> int:
-        return self.shared.hits
-
-    @property
-    def misses(self) -> int:
-        return self.shared.misses
-
     def get(self, key: Hashable) -> Optional[object]:
         return self.shared.get((self.namespace, key))
 
@@ -284,43 +270,29 @@ class RecordAccessMixin:
 
 
 class _ShardFile:
-    """One opening of a shard file: the handle, its optional memory map, and
-    the positional reads in flight on it.
+    """One opening of a shard file: the handle and the reads in flight on it.
 
-    A file the reader opened itself (*owned*) is read positionally, outside
-    the reader's lock; a caller's file object is read with ``seek`` +
-    ``read`` under it.  A retired file (see :meth:`ShardReader.close`) is
-    closed by whichever comes last of the close and its last read.
+    A file the reader opened itself (*owned*) is read with ``os.pread``,
+    outside the reader's lock; a caller's file object is read with ``seek``
+    + ``read`` under it.  A file the reader has let go of (see
+    :meth:`ShardReader.close`) is closed by whichever comes last of the
+    close and its last read.
     """
 
-    __slots__ = ("handle", "owned", "map", "reads", "retired")
+    __slots__ = ("handle", "owned", "reads")
 
-    def __init__(self, handle: BinaryIO, owned: bool, use_mmap: bool):
+    def __init__(self, handle: BinaryIO, owned: bool):
         self.handle = handle
         self.owned = owned
-        self.map: Optional[_mmap_module.mmap] = None
         self.reads = 0
-        self.retired = False
-        if use_mmap:
-            try:
-                fileno = handle.fileno()
-            except (AttributeError, OSError, ValueError) as exc:
-                raise StoreError(
-                    "use_mmap requires a real file (the source has no file descriptor)"
-                ) from exc
-            self.map = _mmap_module.mmap(fileno, 0, access=_mmap_module.ACCESS_READ)
 
     def read(self, offset: int, length: int) -> bytes:
-        if self.map is not None:
-            return self.map[offset : offset + length]
         if self.owned:
             return os.pread(self.handle.fileno(), length, offset)
         self.handle.seek(offset)
         return self.handle.read(length)
 
     def close(self) -> None:
-        if self.map is not None:
-            self.map.close()
         if self.owned:
             self.handle.close()
 
@@ -329,11 +301,11 @@ class ShardReader(RecordAccessMixin):
     """Random access to the records of one ``.zss`` shard.
 
     One reader serves concurrent loads from many threads.  A shard opened
-    from a path is read with one ``os.pread`` (or a slice of its memory map)
-    per block, outside ``_io_lock``; a caller's file object — a ``BytesIO``,
-    or a :class:`~repro.faults.io.FaultyFile` whose reads must not bypass
-    it — keeps a shared seek position, so its ``seek`` + ``read`` run under
-    the lock.  The lock guards only the (re)open, the close and the
+    from a path is read with one ``os.pread`` per block, outside
+    ``_io_lock``; a caller's file object — a ``BytesIO``, or a
+    :class:`~repro.faults.io.FaultyFile` whose reads must not bypass it —
+    keeps a shared seek position, so its ``seek`` + ``read`` run under the
+    lock.  The lock guards only the (re)open, the close and the
     counters.  :meth:`close` never releases a file a read is still using:
     the last read in flight closes it.
 
@@ -348,12 +320,6 @@ class ShardReader(RecordAccessMixin):
         :class:`~repro.core.random_access.RandomAccessReader`.
     cache_blocks:
         Blocks kept in the LRU cache (ignored when *cache* is given).
-    verify_checksums:
-        Validate each block's CRC-32 when it is loaded.
-    use_mmap:
-        Serve block reads out of a read-only memory map instead of the
-        file.  Byte-identical to the file path; requires a real file (one
-        with a file descriptor).
     cache:
         An externally owned cache (:class:`BlockCache` or
         :class:`BlockCacheView`) replacing the reader's private one, so
@@ -365,8 +331,6 @@ class ShardReader(RecordAccessMixin):
         source: Union[PathLike, BinaryIO],
         codec: Optional[ZSmilesCodec] = None,
         cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-        verify_checksums: bool = True,
-        use_mmap: bool = False,
         cache: Optional[Union[BlockCache, BlockCacheView]] = None,
     ):
         self.path: Optional[Path]
@@ -376,17 +340,15 @@ class ShardReader(RecordAccessMixin):
         else:
             self.path = Path(source)
             handle = open(self.path, "rb")
-        self.use_mmap = use_mmap
         self._io_lock = threading.Lock()
         try:
             self.footer: StoreFooter = read_footer(handle)
             self.codec = codec if codec is not None else self._embedded_codec()
-            self._file: Optional[_ShardFile] = _ShardFile(handle, self.path is not None, use_mmap)
+            self._file: Optional[_ShardFile] = _ShardFile(handle, self.path is not None)
         except Exception:
             if self.path is not None:
                 handle.close()
             raise
-        self.verify_checksums = verify_checksums
         self._cache = cache if cache is not None else BlockCache(cache_blocks)
         self._kernel = None  # lazy BlockKernel, rebuilt if the codec is swapped
         self.blocks_decoded = 0
@@ -409,7 +371,7 @@ class ShardReader(RecordAccessMixin):
             "zsmiles_store_reads_total",
             "Block payload reads, by I/O mode",
             labels=("io",),
-        ).labels("mmap" if use_mmap else "handle")
+        ).labels("handle")
         self._metric_read_bytes = registry.counter(
             "zsmiles_store_read_bytes_total",
             "Bytes read from shard payloads",
@@ -427,15 +389,12 @@ class ShardReader(RecordAccessMixin):
         """Close the shard file (idempotent; the cache stays warm).
 
         A path-backed reader reopens on its next block load.  A file that
-        reads are still using is retired instead, and the last of those
-        reads closes it.
+        reads are still using is closed by the last of those reads.
         """
         with self._io_lock:
             file, self._file = self._file, None
-            if file is not None:
-                file.retired = True
-                if not file.reads:
-                    file.close()
+            if file is not None and not file.reads:
+                file.close()
 
     def __enter__(self) -> "ShardReader":
         return self
@@ -457,14 +416,6 @@ class ShardReader(RecordAccessMixin):
     @property
     def metadata(self) -> Dict[str, object]:
         return self.footer.metadata
-
-    @property
-    def cache_hits(self) -> int:
-        return self._cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self._cache.misses
 
     def cache_stats(self) -> Dict[str, int]:
         """Block cache counters (the shared aggregates for a library's shard)."""
@@ -600,12 +551,7 @@ class ShardReader(RecordAccessMixin):
             if file is None:
                 if self.path is None:
                     raise StoreFormatError("cannot reopen a reader over a closed file object")
-                handle = open(self.path, "rb")
-                try:
-                    file = self._file = _ShardFile(handle, True, self.use_mmap)
-                except Exception:
-                    handle.close()
-                    raise
+                file = self._file = _ShardFile(open(self.path, "rb"), True)
             if not file.owned:
                 return file.read(offset, length)
             file.reads += 1
@@ -614,8 +560,8 @@ class ShardReader(RecordAccessMixin):
         finally:
             with self._io_lock:
                 file.reads -= 1
-                if file.retired and not file.reads:
-                    file.close()
+                if file is not self._file and not file.reads:
+                    file.close()  # close() let go of it during this read
 
     def _load_payload(self, block: int) -> List[str]:
         """Read and split one block payload (stored records, not decompressed)."""
@@ -625,7 +571,7 @@ class ShardReader(RecordAccessMixin):
         self._metric_read_bytes.inc(len(payload))
         if len(payload) != info.length:
             raise self._quarantine(block, f"block {block}: short read; truncated shard")
-        if self.verify_checksums and payload_crc(payload) != info.crc32:
+        if payload_crc(payload) != info.crc32:
             raise self._quarantine(
                 block, f"block {block}: checksum mismatch; corrupt shard"
             )

@@ -6,7 +6,7 @@ trace spans, and structured JSON access logs.  Every tier is already
 instrumented — the server (per-route counters and latency/size
 histograms), the clients (requests, retries, rotations, stream
 progress), the store (block load latency, cache hits/misses/evictions,
-mmap vs handle reads, quarantine events), the engine kernel (lines and
+block reads and bytes, quarantine events), the engine kernel (lines and
 bytes moved, reference fallbacks), the campaign driver (generation
 timings, operator accept/reject), and the fault layer (``faults_*``).
 

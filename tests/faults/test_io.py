@@ -40,8 +40,8 @@ class TestTransparency:
         assert faulty.faults_injected == 0
 
     def test_fileno_is_blocked(self, pristine_shard):
-        # An mmap over the real descriptor would bypass the fault layer and
-        # silently test nothing — the wrapper refuses to expose it.
+        # A read through the real descriptor would bypass the fault layer
+        # and silently test nothing — the wrapper refuses to expose it.
         with pytest.raises(OSError, match="no file descriptor"):
             open_faulty(pristine_shard).fileno()
 

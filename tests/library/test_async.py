@@ -67,12 +67,9 @@ class TestAsyncParity:
 
         run(main())
 
-    @pytest.mark.parametrize("use_mmap", [False, True])
-    def test_get_many_matches_sync(self, library_dir, reference, use_mmap):
+    def test_get_many_matches_sync(self, library_dir, reference):
         async def main():
-            async with AsyncCorpusLibrary.open(
-                library_dir, pool_size=3, use_mmap=use_mmap
-            ) as lib:
+            async with AsyncCorpusLibrary.open(library_dir, pool_size=3) as lib:
                 everything = await lib.get_many(range(len(reference)))
                 assert everything == reference
                 shuffled = [7, 119, 0, 80, 41, 3, 90]
@@ -339,7 +336,7 @@ def track_shard_files(monkeypatch) -> list:
 
 class TestCloseRaces:
     @staticmethod
-    def close_during_a_held_load(library_dir, monkeypatch, use_mmap, cancel):
+    def close_during_a_held_load(library_dir, monkeypatch, cancel):
         """Hold a cold ``get(45)`` in its worker thread, optionally cancel
         the task awaiting it, close(), then let the load go on: it reopens
         its shard.  Returns the read's outcome, the library and every shard
@@ -356,7 +353,7 @@ class TestCloseRaces:
         monkeypatch.setattr(ShardReader, "_load_payload", held)
 
         async def main():
-            lib = AsyncCorpusLibrary.open(library_dir, pool_size=2, use_mmap=use_mmap)
+            lib = AsyncCorpusLibrary.open(library_dir, pool_size=2)
             read = asyncio.ensure_future(lib.get(45))
             assert await asyncio.to_thread(entered.wait, 30)
             if cancel:
@@ -371,38 +368,28 @@ class TestCloseRaces:
         return got, library, files
 
     @staticmethod
-    def assert_no_file_open(library, files, use_mmap):
+    def assert_no_file_open(library, files):
         opened = [reader for reader in library._readers if reader is not None]
         assert len(opened) == 1
         assert all(reader._file is None for reader in opened)
         assert len(files) == 2                      # the first open, then the reopen
         for file in files:
             assert file.handle.closed
-            assert (file.map is None) == (not use_mmap)
-            assert file.map is None or file.map.closed
 
-    @pytest.mark.parametrize("use_mmap", [False, True])
-    def test_close_during_a_load_leaves_no_file_open(
-        self, library_dir, reference, monkeypatch, use_mmap
-    ):
+    def test_close_during_a_load_leaves_no_file_open(self, library_dir, reference, monkeypatch):
         """close() while a cold load waits in its worker thread: the load
         then reopens its shard, and the re-close after it closes that file
-        again, so no reader keeps a handle, a map or a retired file."""
-        got, library, files = self.close_during_a_held_load(
-            library_dir, monkeypatch, use_mmap, cancel=False
-        )
+        again, so no reader keeps a handle or a file it let go of."""
+        got, library, files = self.close_during_a_held_load(library_dir, monkeypatch, cancel=False)
         assert got == reference[45]
-        self.assert_no_file_open(library, files, use_mmap)
+        self.assert_no_file_open(library, files)
 
-    @pytest.mark.parametrize("use_mmap", [False, True])
-    def test_cancelled_load_leaves_no_file_open(self, library_dir, monkeypatch, use_mmap):
+    def test_cancelled_load_leaves_no_file_open(self, library_dir, monkeypatch):
         """As above, with the awaiting task cancelled before close(): the
         task's cleanup runs at the cancellation, before close(), so the
         re-close must run in the worker thread, after the load."""
-        _, library, files = self.close_during_a_held_load(
-            library_dir, monkeypatch, use_mmap, cancel=True
-        )
-        self.assert_no_file_open(library, files, use_mmap)
+        _, library, files = self.close_during_a_held_load(library_dir, monkeypatch, cancel=True)
+        self.assert_no_file_open(library, files)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
 """Sharded serving: parity with the single-shard reader, lazy opens, caching.
 
 The acceptance criterion lives here: records read through
-``CorpusLibrary`` — any shard count, mmap on or off, a library or a bare
-``.zss`` — are byte-identical to a ``ShardReader`` over the whole corpus in
+``CorpusLibrary`` — any shard count, a library or a bare ``.zss`` — are
+byte-identical to a ``ShardReader`` over the whole corpus in
 one shard.
 """
 
@@ -26,14 +26,13 @@ def reference(single_shard_path, corpus):
 
 class TestCrossShardParity:
     @pytest.mark.parametrize("shards", [1, 3, 5, 120])
-    @pytest.mark.parametrize("use_mmap", [False, True])
     def test_byte_identical_to_single_shard(
-        self, tmp_path_factory, corpus, engine, reference, shards, use_mmap
+        self, tmp_path_factory, corpus, engine, reference, shards
     ):
-        directory = tmp_path_factory.mktemp("parity") / f"lib-{shards}-{use_mmap}"
+        directory = tmp_path_factory.mktemp("parity") / f"lib-{shards}"
         info = pack_library(directory, corpus, engine, shards=shards, records_per_block=8)
         assert info.shard_count == min(shards, len(corpus))
-        with CorpusLibrary.open(directory, use_mmap=use_mmap) as store:
+        with CorpusLibrary.open(directory) as store:
             assert len(store) == len(reference)
             assert list(store.iter_all()) == reference
             assert store.get_many(range(len(reference))) == reference
@@ -99,18 +98,18 @@ class TestServingBehavior:
     def test_shared_lru_budget_across_shards(self, library_dir, reference):
         """N shards share ONE cache budget instead of hoarding one each."""
         with CorpusLibrary.open(library_dir, cache_blocks=2) as store:
-            assert store.cache_capacity == 2
+            assert store.cache_stats()["capacity"] == 2
             # Touch one block in every shard, then some more blocks.
             for index in (0, 40, 80, 8, 48, 88):
                 assert store.get(index) == reference[index]
             assert store.open_shard_count == 3
-            assert store.cached_blocks <= 2
+            assert store.cache_stats()["cached_blocks"] <= 2
 
     def test_cache_hits_counted_across_shards(self, library_dir, reference):
         with CorpusLibrary.open(library_dir) as store:
             assert store.get(0) == reference[0]
             assert store.get(1) == reference[1]  # same block -> shared-cache hit
-            assert store.cache_hits >= 1
+            assert store.cache_stats()["hits"] >= 1
 
     @pytest.mark.parametrize(
         "start, stop",

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -25,15 +25,14 @@ class TestServeParser:
         assert args.host == DEFAULT_HOST
         assert args.port == DEFAULT_PORT
         assert args.readers >= 1
-        assert args.mmap is False
 
     def test_all_flags(self):
         args = build_parser().parse_args([
             "serve", "c.library", "--host", "0.0.0.0", "--port", "0",
-            "--readers", "8", "--cache-blocks", "4", "--mmap",
+            "--readers", "8", "--cache-blocks", "4",
         ])
-        assert (args.host, args.port, args.readers, args.cache_blocks, args.mmap) == (
-            "0.0.0.0", 0, 8, 4, True
+        assert (args.host, args.port, args.readers, args.cache_blocks) == (
+            "0.0.0.0", 0, 8, 4
         )
 
     def test_rejects_bad_counts(self, tmp_path):
@@ -81,27 +80,36 @@ def served_library(tmp_path_factory):
     return library_dir
 
 
+@contextlib.contextmanager
+def _serving(*args):
+    """``zsmiles serve ARGS`` as a process: yields it and its announced URL,
+    and leaves no process or pipe open behind it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    with subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "serve", *map(str, args)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=env,
+        text=True,
+    ) as process:
+        try:
+            announce = process.stdout.readline()
+            assert "serving" in announce and "http://" in announce, announce
+            yield process, next(tok for tok in announce.split() if tok.startswith("http://"))
+        finally:
+            if process.poll() is None:
+                process.kill()
+
+
 class TestServeSubprocess:
     def test_serve_round_trip_and_sigterm_shutdown(self, served_library):
         """The real thing: ``zsmiles serve`` as a process, ephemeral port,
         client round trip, clean exit on SIGTERM and on SIGINT."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
         for signum in (signal.SIGTERM, signal.SIGINT):
-            process = subprocess.Popen(
-                [sys.executable, "-u", "-m", "repro.cli",
-                 "serve", str(served_library), "--port", "0", "--readers", "2"],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                env=env,
-                text=True,
-            )
-            try:
-                announce = process.stdout.readline()
-                assert "serving" in announce and "http://" in announce, announce
-                url = next(tok for tok in announce.split() if tok.startswith("http://"))
+            with _serving(served_library, "--port", "0", "--readers", "2") as (process, url):
                 with CorpusClient(url, timeout=10.0) as client:
                     direct_len = len(client)
                     assert direct_len == 96
@@ -110,72 +118,32 @@ class TestServeSubprocess:
                     assert len(client.slice(0, 96)) == 96
                 process.send_signal(signum)
                 assert process.wait(timeout=15) == 0, signum
-            finally:
-                if process.poll() is None:
-                    process.kill()
-                    process.wait(timeout=10)
-                process.stdout.close()
 
     def test_serve_parity_with_direct_reads(self, served_library):
         """Records over the subprocess wire == records read in-process."""
         from repro.library import CorpusLibrary
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        process = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro.cli",
-             "serve", str(served_library), "--port", "0"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            env=env,
-            text=True,
-        )
-        try:
-            announce = process.stdout.readline()
-            url = next(tok for tok in announce.split() if tok.startswith("http://"))
+        with _serving(served_library, "--port", "0") as (process, url):
             with CorpusLibrary.open(served_library) as direct:
                 expected = list(direct.iter_all())
             with CorpusClient(url, timeout=10.0) as client:
                 assert list(client.iter_all()) == expected
             process.send_signal(signal.SIGTERM)
             process.wait(timeout=15)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
 
     def test_serve_access_log_writes_structured_lines(self, served_library, tmp_path):
         """``--access-log PATH`` produces one JSON line per request."""
         import json
 
         log_path = tmp_path / "access.log"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        process = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro.cli",
-             "serve", str(served_library), "--port", "0", "--readers", "2",
-             "--access-log", str(log_path)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            env=env,
-            text=True,
-        )
-        try:
-            announce = process.stdout.readline()
-            url = next(tok for tok in announce.split() if tok.startswith("http://"))
+        with _serving(
+            served_library, "--port", "0", "--readers", "2", "--access-log", log_path
+        ) as (process, url):
             with CorpusClient(url, timeout=10.0) as client:
                 assert client.get(0)
                 assert client.get_many([1, 2])
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=15) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
         entries = [json.loads(line) for line in log_path.read_text().splitlines()]
         routes = [entry["route"] for entry in entries]
         assert "single" in routes and "batch" in routes

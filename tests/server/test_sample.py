@@ -87,7 +87,8 @@ class TestSampleEndpoint:
         url = f"{server.url}{protocol.ROUTE_SAMPLE}?n=oops"
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(url)
-        assert excinfo.value.code == 400
+        with excinfo.value:  # the error is the response: close its socket
+            assert excinfo.value.code == 400
 
     def test_missing_n_raises_protocol_error(self, client, server):
         import urllib.error
@@ -96,7 +97,8 @@ class TestSampleEndpoint:
         url = f"{server.url}{protocol.ROUTE_SAMPLE}"
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(url)
-        assert excinfo.value.code == 400
+        with excinfo.value:  # the error is the response: close its socket
+            assert excinfo.value.code == 400
 
     def test_post_not_allowed(self, client, server):
         import urllib.error
@@ -106,7 +108,8 @@ class TestSampleEndpoint:
         request = urllib.request.Request(url, data=b"{}", method="POST")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
+        with excinfo.value:  # the error is the response: close its socket
+            assert excinfo.value.code == 400
 
     def test_sample_matches_local_reader_semantics(self, client, library_dir):
         """Transport parity: the server's draw is the local ``sample()``.

@@ -77,7 +77,7 @@ class TestShardReader:
             assert decoded_lines() == 1
             assert reader.get(12) == corpus[12]   # same block: cache hit
             assert reader.blocks_decoded == decoded_once
-            assert reader.cache_hits == 1
+            assert reader.cache_stats()["hits"] == 1
             assert decoded_lines() == 2           # ...that decodes record 12 only
             assert reader.get(11) == corpus[11]   # repeat: decodes nothing
             assert decoded_lines() == 2
@@ -85,7 +85,7 @@ class TestShardReader:
             assert reader.blocks_decoded == decoded_once
             assert reader.bytes_read == read_once
             assert decoded_lines() == 2
-            assert reader.cache_hits == 3
+            assert reader.cache_stats()["hits"] == 3
 
     def test_cache_evicts_least_recently_used(self, packed_library):
         path, corpus, _ = packed_library

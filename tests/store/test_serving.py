@@ -1,11 +1,10 @@
-"""Serving hardening: mmap parity, configurable cache bounds, concurrent reads.
+"""Serving hardening: configurable cache bounds, cache counters, concurrent reads.
 
-These suites guard the serving path underneath ``repro.library``: the mmap
-block reads must be byte-identical to the handle path, the LRU capacity must
-honor whatever bound the constructor (and ``cli query --cache-blocks``)
-configures, and one reader hammered from many threads — while another
-closes it — must serve exactly what serial reads serve: the invariant the
-async layer builds on.
+These suites guard the serving path underneath ``repro.library``: the LRU
+capacity must honor whatever bound the constructor (and ``cli query
+--cache-blocks``) configures, and one reader hammered from many threads —
+while another closes it — must serve exactly what serial reads serve: the
+invariant the async layer builds on.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import threading
 import pytest
 
 from repro.engine import ZSmilesEngine
-from repro.errors import StoreError
 from repro.library import CorpusLibrary
 from repro.store import BlockCache, ShardReader, pack_records
 from repro.telemetry import MetricsRegistry
@@ -33,42 +31,6 @@ def packed(tmp_path_factory, plain_codec, mixed_corpus_small):
     with ZSmilesEngine.from_codec(plain_codec, backend="serial") as engine:
         pack_records(path, corpus, engine, records_per_block=8)
     return path, corpus
-
-
-class TestMmapReads:
-    def test_byte_identical_to_handle_path(self, packed):
-        path, corpus = packed
-        with ShardReader(path) as plain, ShardReader(path, use_mmap=True) as mapped:
-            assert list(mapped.iter_all()) == list(plain.iter_all()) == corpus
-            for index in (0, 7, 8, 50, 95):
-                assert mapped.get(index) == plain.get(index)
-                assert mapped.get_raw(index) == plain.get_raw(index)
-
-    def test_counters_track_mmap_reads(self, packed):
-        path, _ = packed
-        with ShardReader(path, use_mmap=True) as reader:
-            reader.get(20)
-            assert reader.blocks_decoded == 1
-            assert reader.bytes_read == reader.footer.blocks[2].length
-
-    def test_mmap_reopens_after_close(self, packed):
-        path, corpus = packed
-        reader = ShardReader(path, use_mmap=True)
-        reader.get(3)
-        reader.close()
-        assert reader.get(90) == corpus[90]
-        reader.close()
-
-    def test_mmap_through_corpus_store(self, packed):
-        path, corpus = packed
-        with CorpusLibrary.open(path, use_mmap=True) as store:
-            assert store.get_many(range(len(corpus))) == corpus
-
-    def test_mmap_requires_real_file(self, packed):
-        path, _ = packed
-        buffer = io.BytesIO(path.read_bytes())
-        with pytest.raises(StoreError, match="real file"):
-            ShardReader(buffer, use_mmap=True)
 
 
 class TestConfigurableCacheBound:
@@ -92,7 +54,7 @@ class TestConfigurableCacheBound:
     def test_corpus_store_passes_capacity_down(self, packed):
         path, _ = packed
         with CorpusLibrary.open(path, cache_blocks=3) as store:
-            assert store.shard(0)._cache.capacity == 3
+            assert store.shard(0).cache_stats()["capacity"] == 3
 
     def test_block_cache_rejects_zero_capacity(self):
         from repro.errors import StoreFormatError
@@ -141,12 +103,12 @@ class TestCacheCounters:
     def test_shard_reader_counts_hits_and_misses(self, packed):
         path, corpus = packed
         with ShardReader(path, cache_blocks=4) as reader:
-            assert reader.cache_hits == 0 and reader.cache_misses == 0
+            assert reader.cache_stats()["hits"] == 0 and reader.cache_stats()["misses"] == 0
             reader.get(0)  # cold: miss
             reader.get(1)  # same block: hit
             reader.get(8)  # next block: miss
-            assert reader.cache_misses == 2
-            assert reader.cache_hits == 1
+            assert reader.cache_stats()["misses"] == 2
+            assert reader.cache_stats()["hits"] == 1
             assert reader.cache_stats()["cached_blocks"] == 2
 
     def test_kill_switch_silences_read_path_counters(self, packed):
@@ -159,7 +121,8 @@ class TestCacheCounters:
             with ShardReader(path, cache_blocks=4) as reader:
                 assert reader.get(0) == corpus[0]   # miss: load, decode
                 assert reader.get(1) == corpus[1]   # hit: decode
-                assert (reader.cache_hits, reader.cache_misses) == (1, 1)
+                stats = reader.cache_stats()
+                assert (stats["hits"], stats["misses"]) == (1, 1)
         finally:
             set_registry(None)
         values = {
@@ -184,8 +147,8 @@ class TestCacheCounters:
             library.get(1)   # same block: hit
             library.get(90)  # cold block in shard 1: miss (same shared cache)
             stats = library.cache_stats()
-            assert stats["misses"] == library.cache_misses == 2
-            assert stats["hits"] == library.cache_hits == 1
+            assert stats["misses"] == 2
+            assert stats["hits"] == 1
             assert stats["cached_blocks"] == 2
 
 
@@ -270,29 +233,6 @@ class TestConcurrentReads:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
 
-    def test_threads_match_serial_reads_mmap(self, packed):
-        path, corpus = packed
-        store = CorpusLibrary.open(path, cache_blocks=1, use_mmap=True)
-        try:
-            errors: list = []
-
-            def hammer(offset: int) -> None:
-                try:
-                    for step in range(len(corpus)):
-                        index = (step + offset * 13) % len(corpus)
-                        assert store.get(index) == corpus[index]
-                except Exception as exc:  # pragma: no cover - failure reporting
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert not errors, errors
-        finally:
-            store.close()
-
     def test_get_many_under_concurrency(self, packed):
         path, corpus = packed
         indices = [(i * 7) % len(corpus) for i in range(256)]
@@ -338,17 +278,16 @@ class TestConcurrentReads:
         assert not errors, errors
         assert reader.quarantine_stats()["quarantined_blocks"] == 0
 
-    @pytest.mark.parametrize("use_mmap", [False, True])
-    def test_close_during_positional_reads(self, packed, tmp_path, use_mmap):
+    def test_close_during_positional_reads(self, packed, tmp_path):
         """Threads load distinct blocks of one shard while another thread
-        closes it over and over and opens a decoy file.  A descriptor (or
-        map) released under a read would surface as an error (EBADF, a
-        closed map) or, once reused by the decoy, as another file's bytes
-        failing the CRC check and quarantining a good block."""
+        closes it over and over and opens a decoy file.  A descriptor
+        released under a read would surface as an error (EBADF) or, once
+        reused by the decoy, as another file's bytes failing the CRC check
+        and quarantining a good block."""
         path, corpus = packed
         decoy = tmp_path / "decoy.bin"
         decoy.write_bytes(bytes(range(256)) * (path.stat().st_size // 256 + 1))
-        reader = ShardReader(path, cache_blocks=1, use_mmap=use_mmap)
+        reader = ShardReader(path, cache_blocks=1)
         per, blocks = reader.records_per_block, reader.block_count
         workers = 4
         done = threading.Event()

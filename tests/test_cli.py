@@ -244,10 +244,10 @@ class TestShardedLibraryCommands:
         single = capsys.readouterr().out
         assert main(["query", str(library_dir), "5", "77", "120"]) == 0
         assert capsys.readouterr().out == single
-        # The manifest path and --mmap/--cache-blocks serve the same bytes.
+        # The manifest path and --cache-blocks serve the same bytes.
         assert main([
             "query", str(library_dir / "library.json"), "5", "77", "120",
-            "--cache-blocks", "1", "--mmap",
+            "--cache-blocks", "1",
         ]) == 0
         assert capsys.readouterr().out == single
 
@@ -266,50 +266,6 @@ class TestShardedLibraryCommands:
         assert main([
             "pack", str(library), "-d", str(dictionary), "--shards", "0",
         ]) == 2
-
-    def test_serve_bench_on_library(self, packed_library, capsys):
-        library_dir, _, _ = packed_library
-        assert main([
-            "serve-bench", str(library_dir),
-            "--requests", "32", "--batch-size", "8", "--pool-size", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "single get" in out and "get_many" in out and "async pool" in out
-
-    def test_serve_bench_on_flat_file(self, workspace, capsys):
-        directory, library, dictionary, _ = workspace
-        assert main([
-            "serve-bench", str(library), "--requests", "16", "--batch-size", "4",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "layout=flat" in out
-        assert "async pool" not in out  # flat files have no async pool path
-
-    def test_serve_bench_rejects_bad_counts(self, packed_library):
-        library_dir, _, _ = packed_library
-        assert main(["serve-bench", str(library_dir), "--requests", "0"]) == 2
-        assert main(["serve-bench", str(library_dir), "--cache-blocks", "0"]) == 2
-
-    def test_serve_bench_writes_machine_readable_json(
-        self, packed_library, tmp_path, capsys
-    ):
-        import json
-
-        library_dir, _, _ = packed_library
-        out_path = tmp_path / "serve.json"
-        assert main([
-            "serve-bench", str(library_dir),
-            "--requests", "32", "--batch-size", "8", "--pool-size", "2",
-            "--json", str(out_path),
-        ]) == 0
-        capsys.readouterr()
-        payload = json.loads(out_path.read_text(encoding="utf-8"))
-        assert payload["benchmark"] == "serve_bench"
-        assert payload["requests"] == 32
-        assert set(payload["modes"]) == {"single_get", "get_many", "async_pool"}
-        for mode in payload["modes"].values():
-            assert mode["requests_per_sec"] > 0
-            assert mode["us_per_request"] > 0
 
 
 class TestShardJobsFlag:
