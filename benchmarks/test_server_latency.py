@@ -246,9 +246,7 @@ def test_worker_scaling_curve(served_library, serving_corpus, report, results_di
             for slot in range(CLIENTS):
                 assert results[slot] == [expected_all[i]
                                          for i in per_client_indices[slot]]
-            entry = _mode(seconds, requests, requests)
-            entry["dispatch"] = fleet.mode
-            curve[str(workers)] = entry
+            curve[str(workers)] = _mode(seconds, requests, requests)
 
     _merge_bench_payload({
         "worker_scaling": {
@@ -263,12 +261,11 @@ def test_worker_scaling_curve(served_library, serving_corpus, report, results_di
     table = ResultTable(
         title=f"Fleet scaling: {CLIENTS} clients vs --workers "
               f"{{{', '.join(str(w) for w in WORKER_COUNTS)}}}",
-        columns=["workers", "dispatch", "requests/sec", "us/request"],
+        columns=["workers", "requests/sec", "us/request"],
     )
     for workers in WORKER_COUNTS:
         entry = curve[str(workers)]
-        table.add_row(workers, entry["dispatch"], entry["requests_per_sec"],
-                      entry["us_per_request"])
+        table.add_row(workers, entry["requests_per_sec"], entry["us_per_request"])
     table.add_note(
         f"{requests} single-gets per point over {total} records; "
         f"reader pool {POOL_SIZE} per worker."

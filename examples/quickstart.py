@@ -222,11 +222,11 @@ def main() -> None:
 
     # ------------------------------------------------------------------ #
     # 7b. Scale the front out.  `zsmiles serve library.library --workers 4`
-    #     pre-forks worker processes over the same library (SO_REUSEPORT
-    #     kernel dispatch where available, a proxy accept-loop otherwise);
-    #     ServerFleet is the in-process spelling.  Clients negotiate
-    #     deflate transport transparently (Accept-Encoding; the server only
-    #     compresses when it pays), and FailoverCorpusClient round-robins
+    #     pre-forks worker processes over the same library, which share
+    #     one port through SO_REUSEPORT kernel dispatch; ServerFleet is
+    #     the in-process spelling.  Clients negotiate deflate transport
+    #     transparently (Accept-Encoding; the server only compresses when
+    #     it pays), and FailoverCorpusClient round-robins
     #     replicas, retrying connection loss and 503s while typed request
     #     errors (404/400) propagate untouched.
     # ------------------------------------------------------------------ #
@@ -241,7 +241,7 @@ def main() -> None:
                 streamed = client.slice(0, 256)  # ...and reads keep landing
                 assert streamed == [engine.preprocess(s) for s in library[:256]]
                 print(
-                    f"fleet + failover:    {fleet.mode} fleet of 2 workers at "
+                    f"fleet + failover:    fleet of 2 workers at "
                     f"{fleet.url}; killed one worker mid-stream, "
                     f"{len(streamed)} records still byte-correct across "
                     f"{len(client.urls)} replicas (deflate transport)"

@@ -62,7 +62,7 @@ from .datasets.io import read_smiles, write_smi
 from .dictionary.prepopulation import PrePopulation
 from .engine import BACKEND_CHOICES, ZSmilesEngine
 from .library import DEFAULT_POOL_SIZE, CorpusLibrary, compose_libraries, pack_library_file
-from .errors import ServerError
+from .errors import ReproError
 from .server.app import DEFAULT_HOST as SERVER_DEFAULT_HOST
 from .server.app import DEFAULT_PORT as SERVER_DEFAULT_PORT
 from .store import DEFAULT_CACHE_BLOCKS, STORE_SUFFIX, pack_file
@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                                          f"(default: {DEFAULT_CACHE_BLOCKS})")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
                        help="worker processes behind one port (default 1: "
-                            "in-process server; >1 pre-forks a fleet via "
-                            "SO_REUSEPORT or a round-robin accept proxy)")
+                            "in-process server; >1 pre-forks a fleet that "
+                            "shares the port via SO_REUSEPORT)")
     serve.add_argument("--access-log", default=None, metavar="PATH",
                        help="append one JSON line per request to PATH "
                             "('-' = stdout; off by default)")
@@ -765,20 +765,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
     codec = _load_engine(args.dictionary).codec if args.dictionary else None
-    try:
-        return run_server(
-            args.input,
-            workers=args.workers,
-            codec=codec,
-            host=args.host,
-            port=args.port,
-            readers=args.readers,
-            cache_blocks=args.cache_blocks,
-            access_log=args.access_log,
-        )
-    except ServerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return run_server(
+        args.input,
+        workers=args.workers,
+        codec=codec,
+        host=args.host,
+        port=args.port,
+        readers=args.readers,
+        cache_blocks=args.cache_blocks,
+        access_log=args.access_log,
+    )
 
 
 def _flatten_metrics_snapshot(snapshot: dict) -> dict:
@@ -975,11 +971,20 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point used by the ``zsmiles`` console script."""
+    """Entry point used by the ``zsmiles`` console script.
+
+    Argument errors exit with status 2 (argparse).  A :class:`ReproError`
+    or :class:`OSError` from a command is printed as one ``error: ...``
+    line on stderr and returns 1.
+    """
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
     handler = _HANDLERS[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

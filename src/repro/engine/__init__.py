@@ -59,9 +59,9 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".backends": [
-        "BackendStats", "BatchResult", "CompressionBackend", "KernelBackend",
-        "ProcessPoolBackend", "SerialBackend", "available_backends", "backend_factory",
-        "create_backend", "register_backend",
+        "BatchResult", "CompressionBackend", "KernelBackend", "ProcessPoolBackend",
+        "SerialBackend", "available_backends", "backend_factory", "create_backend",
+        "register_backend",
     ],
     ".baselines": ["BaselineBackend"],
     ".config": [

@@ -69,20 +69,6 @@ class BatchResult:
     chunks: int = 1
 
 
-@dataclass
-class BackendStats:
-    """Cumulative counters a backend accumulates across batches."""
-
-    batches: int = 0
-    records: int = 0
-    wall_time: float = 0.0
-
-    def record(self, result: BatchResult) -> None:
-        self.batches += 1
-        self.records += len(result.records)
-        self.wall_time += result.wall_time
-
-
 @runtime_checkable
 class CompressionBackend(Protocol):
     """The batch contract every execution backend satisfies."""
@@ -95,10 +81,6 @@ class CompressionBackend(Protocol):
 
     def decompress_batch(self, records: Sequence[str]) -> BatchResult:
         """Decompress *records* (order preserved, one output per input)."""
-        ...
-
-    def stats(self) -> BackendStats:
-        """Cumulative counters since the backend was created."""
         ...
 
 
@@ -156,7 +138,6 @@ class SerialBackend:
 
     def __init__(self, codec: ZSmilesCodec, config: Optional[EngineConfig] = None):
         self.codec = codec
-        self._stats = BackendStats()
 
     # ------------------------------------------------------------------ #
     def compress_batch(self, records: Sequence[str]) -> BatchResult:
@@ -169,29 +150,22 @@ class SerialBackend:
             out.append(record.compressed)
             matches += record.matches
             escapes += record.escapes
-        result = BatchResult(
+        return BatchResult(
             records=out,
             stats=_batch_stats(records, out, matches, escapes, compressing=True),
             wall_time=time.perf_counter() - started,
             backend=self.name,
         )
-        self._stats.record(result)
-        return result
 
     def decompress_batch(self, records: Sequence[str]) -> BatchResult:
         started = time.perf_counter()
         out = [self.codec.decompress(line) for line in records]
-        result = BatchResult(
+        return BatchResult(
             records=out,
             stats=_batch_stats(records, out, 0, 0, compressing=False),
             wall_time=time.perf_counter() - started,
             backend=self.name,
         )
-        self._stats.record(result)
-        return result
-
-    def stats(self) -> BackendStats:
-        return self._stats
 
 
 class KernelBackend:
@@ -210,35 +184,27 @@ class KernelBackend:
     def __init__(self, codec: ZSmilesCodec, config: Optional[EngineConfig] = None):
         self.codec = codec
         self.kernel = BlockKernel(codec)
-        self._stats = BackendStats()
 
     # ------------------------------------------------------------------ #
     def compress_batch(self, records: Sequence[str]) -> BatchResult:
         started = time.perf_counter()
         out, matches, escapes = self.kernel.compress_block(records)
-        result = BatchResult(
+        return BatchResult(
             records=out,
             stats=_batch_stats(records, out, matches, escapes, compressing=True),
             wall_time=time.perf_counter() - started,
             backend=self.name,
         )
-        self._stats.record(result)
-        return result
 
     def decompress_batch(self, records: Sequence[str]) -> BatchResult:
         started = time.perf_counter()
         out = self.kernel.decompress_block(records)
-        result = BatchResult(
+        return BatchResult(
             records=out,
             stats=_batch_stats(records, out, 0, 0, compressing=False),
             wall_time=time.perf_counter() - started,
             backend=self.name,
         )
-        self._stats.record(result)
-        return result
-
-    def stats(self) -> BackendStats:
-        return self._stats
 
 
 class ProcessPoolBackend:
@@ -258,7 +224,6 @@ class ProcessPoolBackend:
         self.codec = codec
         self.workers = config.worker_count()
         self.chunk_size = config.chunk_size
-        self._stats = BackendStats()
         self._pool: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------ #
@@ -267,9 +232,6 @@ class ProcessPoolBackend:
 
     def decompress_batch(self, records: Sequence[str]) -> BatchResult:
         return self._run(records, _decompress_chunk, compressing=False)
-
-    def stats(self) -> BackendStats:
-        return self._stats
 
     # ------------------------------------------------------------------ #
     # Pool lifecycle: workers are spawned lazily on the first batch and kept
@@ -340,7 +302,7 @@ class ProcessPoolBackend:
             out.extend(chunk_records)
             matches += chunk_matches
             escapes += chunk_escapes
-        result = BatchResult(
+        return BatchResult(
             records=out,
             stats=_batch_stats(records, out, matches, escapes, compressing=compressing),
             wall_time=time.perf_counter() - started,
@@ -348,8 +310,6 @@ class ProcessPoolBackend:
             workers=min(self.workers, len(chunks)) if chunks else 1,
             chunks=max(1, len(chunks)),
         )
-        self._stats.record(result)
-        return result
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 from ..baselines.interface import BaselineCodec
 from ..core.codec import CodecStats
-from .backends import BackendStats, BatchResult
+from .backends import BatchResult
 
 #: Encoding used to embed baseline byte payloads into str records losslessly.
 PAYLOAD_ENCODING = "latin-1"
@@ -34,7 +34,6 @@ class BaselineBackend:
     def __init__(self, codec: BaselineCodec):
         self.codec = codec
         self.name = f"baseline:{codec.properties.name}"
-        self._stats = BackendStats()
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -60,14 +59,12 @@ class BaselineBackend:
             matches=0,
             escapes=0,
         )
-        result = BatchResult(
+        return BatchResult(
             records=out,
             stats=stats,
             wall_time=time.perf_counter() - started,
             backend=self.name,
         )
-        self._stats.record(result)
-        return result
 
     def decompress_batch(self, records: Sequence[str]) -> BatchResult:
         started = time.perf_counter()
@@ -87,17 +84,12 @@ class BaselineBackend:
             matches=0,
             escapes=0,
         )
-        result = BatchResult(
+        return BatchResult(
             records=out,
             stats=stats,
             wall_time=time.perf_counter() - started,
             backend=self.name,
         )
-        self._stats.record(result)
-        return result
-
-    def stats(self) -> BackendStats:
-        return self._stats
 
     # ------------------------------------------------------------------ #
     def _compressed_size(self, records: Sequence[str], payloads: Sequence[bytes]) -> int:

@@ -164,7 +164,7 @@ class ServerConnectionError(ServerError):
 
 
 class ServerBusyError(ServerError):
-    """Raised when a server (or fleet front) cannot take the request right now
+    """Raised when a server cannot take the request right now
     (HTTP 503).  Retryable: a replica-aware client should try another replica."""
 
 

@@ -37,9 +37,9 @@ place, a sans-IO core, under thin I/O drivers:
   next to blocking code (tests, benchmarks, the quickstart).
 * :class:`ServerFleet` (:mod:`repro.server.fleet`) — multi-process
   scale-out: N worker processes over the same library behind one URL,
-  via ``SO_REUSEPORT`` kernel load-balancing where available and a parent
-  round-robin TCP proxy everywhere else.  A SIGKILLed worker drops out of
-  rotation; survivors keep serving.
+  which they all bind with ``SO_REUSEPORT`` so the kernel load-balances
+  connections across them.  A SIGKILLed worker drops out of rotation;
+  survivors keep serving.
 * :func:`run_server` — the foreground entry point (``zsmiles serve``): a
   :class:`BackgroundServer` for one worker, a :class:`ServerFleet` for
   ``--workers N``, until SIGINT/SIGTERM.

@@ -121,10 +121,8 @@ class CorpusServer:
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         stream_batch: int = DEFAULT_STREAM_BATCH,
-        reuse_port: bool = False,
         access_log: Optional[AccessLogger] = None,
         worker_id: Optional[int] = None,
-        registry: Optional[_metrics.MetricsRegistry] = None,
     ):
         if stream_batch < 1:
             raise ServerError("stream_batch must be >= 1")
@@ -132,12 +130,11 @@ class CorpusServer:
         self.host = host
         self.port = port
         self.stream_batch = stream_batch
-        #: Bind with SO_REUSEPORT so several worker processes can share one
-        #: port and let the kernel balance connections (the fleet tier).
-        self.reuse_port = reuse_port
         self.access_log = access_log
+        #: Set for a fleet worker, which binds the fleet's shared port with
+        #: SO_REUSEPORT.
         self.worker_id = worker_id
-        self.registry = registry if registry is not None else _metrics.get_registry()
+        self.registry = _metrics.get_registry()
         #: Per-worker admin port (a second listener on an ephemeral port)
         #: and the fleet-wide list of every sibling's admin port.  Set by
         #: the fleet tier; a lone server leaves both None and serves
@@ -203,14 +200,12 @@ class CorpusServer:
         """Bind and start accepting connections; resolves ``self.port``."""
         if self._server is not None:
             raise ServerError("server already started")
-        if self.reuse_port:
-            self._server = await asyncio.start_server(
-                self._serve_connection, self.host, self.port, reuse_port=True
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._serve_connection, self.host, self.port
-            )
+        self._server = await asyncio.start_server(
+            self._serve_connection,
+            self.host,
+            self.port,
+            reuse_port=self.worker_id is not None,
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
         self._started = True
@@ -218,7 +213,7 @@ class CorpusServer:
     async def start_admin(self) -> int:
         """Bind the per-worker admin listener (same routes, own port).
 
-        Fleet workers in SO_REUSEPORT mode all share the public port, so a
+        Fleet workers all share the public port (SO_REUSEPORT), so a
         sibling that wants *this* worker's counters needs a way to address
         it individually — the admin listener is that address.  It serves
         the same handler (so ``/stats?scope=local`` and
@@ -756,7 +751,6 @@ async def serve(
     cache_blocks: int = DEFAULT_CACHE_BLOCKS,
     stream_batch: int = DEFAULT_STREAM_BATCH,
     access_log: Optional[PathLike] = None,
-    reuse_port: bool = False,
     worker_id: Optional[int] = None,
 ) -> None:
     """Serve *source* from start-up to drain: the one serve lifecycle.
@@ -764,9 +758,10 @@ async def serve(
     Opens the :class:`AsyncCorpusLibrary` and the access log, binds a
     :class:`CorpusServer`, awaits ``started(server)``, serves until *stop*
     is set, then drains in-flight requests.  A *worker_id* marks a fleet
-    worker: its server also binds the admin listener, and its access-log
-    lines carry the id.  Everything opened here is closed on every path,
-    so a start-up failure propagates with nothing left open.
+    worker: its server binds *port* with ``SO_REUSEPORT`` and also binds
+    the admin listener, and its access-log lines carry the id.  Everything
+    opened here is closed on every path, so a start-up failure propagates
+    with nothing left open.
     """
     library = AsyncCorpusLibrary.open(
         source, codec=codec, pool_size=readers, cache_blocks=cache_blocks
@@ -779,7 +774,6 @@ async def serve(
             host,
             port,
             stream_batch=stream_batch,
-            reuse_port=reuse_port,
             access_log=log,
             worker_id=worker_id,
         )
@@ -934,9 +928,8 @@ def run_server(
     One worker runs in a :class:`BackgroundServer`, more in a
     :class:`~repro.server.fleet.ServerFleet` behind one URL.  Prints the
     bound URL once serving (flushed, machine-readable first line:
-    ``serving <records> records at <url> (...)``, with ``workers=N,
-    mode=...`` for a fleet), then on a signal drains in-flight requests and
-    returns 0.
+    ``serving <records> records at <url> (...)``, with ``workers=N`` for a
+    fleet), then on a signal drains in-flight requests and returns 0.
     """
     from .fleet import ServerFleet  # the fleet module imports this one
 
@@ -961,7 +954,7 @@ def run_server(
             records, shape = len(server.server.library), ""
         else:
             server = ServerFleet(source, workers=workers, **options).start()
-            records, shape = server.records, f"workers={workers}, mode={server.mode}, "
+            records, shape = server.records, f"workers={workers}, "
         try:
             print(
                 f"serving {records} records at {server.url} ({shape}pool={readers}, "

@@ -65,8 +65,8 @@ exposes the registry at ``GET /metrics`` in the Prometheus text format::
 
 A fleet scrape is already aggregated: whichever worker answers merges
 every live sibling's snapshot first (``?scope=local`` opts out), so one
-``curl`` sees the whole fleet in both SO_REUSEPORT and proxy modes; the
-same holds for ``GET /stats``.  ``zsmiles stats URL --watch 2`` renders
+``curl`` sees the whole fleet whichever worker the kernel picks; the same
+holds for ``GET /stats``.  ``zsmiles stats URL --watch 2`` renders
 the live counter diff from a terminal, and
 ``GET /stats?trace=recent`` returns the most recent finished spans from
 the in-process ring buffer.  Request ids stamped by the clients

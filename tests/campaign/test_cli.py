@@ -6,7 +6,6 @@ import pytest
 
 from repro.campaign import campaign_status
 from repro.cli import main
-from repro.errors import CampaignError
 
 
 def run_cli(*argv) -> int:
@@ -37,9 +36,9 @@ class TestRun:
     def test_run_writes_checkpoint(self, finished_campaign):
         assert campaign_status(finished_campaign).generation == 2
 
-    def test_run_refuses_existing_workdir(self, finished_campaign, corpus_file):
-        with pytest.raises(CampaignError, match="resume"):
-            run_cli("campaign", "run", corpus_file, finished_campaign)
+    def test_run_refuses_existing_workdir(self, finished_campaign, corpus_file, capsys):
+        assert run_cli("campaign", "run", corpus_file, finished_campaign) == 1
+        assert "resume" in capsys.readouterr().err
 
 
 class TestResume:
@@ -55,9 +54,9 @@ class TestResume:
         assert run_cli("campaign", "resume", finished_campaign) == 0
         assert campaign_status(finished_campaign).as_dict() == before
 
-    def test_resume_missing_campaign_raises(self, tmp_path):
-        with pytest.raises(CampaignError, match="no campaign checkpoint"):
-            run_cli("campaign", "resume", tmp_path)
+    def test_resume_missing_campaign_raises(self, tmp_path, capsys):
+        assert run_cli("campaign", "resume", tmp_path) == 1
+        assert "no campaign checkpoint" in capsys.readouterr().err
 
 
 class TestStatusAndHits:

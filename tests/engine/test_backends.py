@@ -111,13 +111,6 @@ class TestProtocolConformance:
         assert result.stats.lines == 0
         assert result.stats.ratio == 1.0
 
-    def test_cumulative_stats_grow(self, backend, corpus):
-        before = backend.stats().batches
-        backend.compress_batch(corpus[:5])
-        after = backend.stats()
-        assert after.batches == before + 1
-        assert after.records >= 5
-
 
 class TestSerialProcessParity:
     def test_process_output_is_byte_identical_to_serial(self, plain_codec, corpus):

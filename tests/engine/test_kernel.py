@@ -400,14 +400,6 @@ class TestKernelBackendSurface:
         assert kernel.workers == 1 and kernel.chunks == 1
         assert kernel.stats.lines == serial.stats.lines
 
-    def test_cumulative_stats_accumulate(self, plain_codec, mixed_corpus_small):
-        backend = KernelBackend(plain_codec)
-        backend.compress_batch(mixed_corpus_small[:10])
-        backend.decompress_batch([])
-        stats = backend.stats()
-        assert stats.batches == 2
-        assert stats.records == 10
-
     def test_concurrent_compress_batches_stay_byte_identical(
         self, plain_codec, mixed_corpus_small
     ):

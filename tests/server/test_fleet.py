@@ -1,5 +1,5 @@
-"""The multi-process fleet tier: SO_REUSEPORT workers, the proxy fallback,
-worker-crash survival, and the ``zsmiles serve --workers`` CLI lifecycle.
+"""The multi-process fleet tier: SO_REUSEPORT workers, worker-crash
+survival, and the ``zsmiles serve --workers`` CLI lifecycle.
 
 Every fleet read is parity-gated against the direct library — scaling out
 must never change a byte.
@@ -8,43 +8,27 @@ must never change a byte.
 from __future__ import annotations
 
 import signal
+import socket
 import subprocess
 import sys
-import time
 
 import pytest
 
-from repro.errors import ServerBusyError, ServerConnectionError, ServerError
+from repro.errors import ServerConnectionError, ServerError
 from repro.library import CorpusLibrary
 from repro.server import CorpusClient, ServerFleet, protocol
-from repro.server.fleet import _reuse_port_supported
 
 
 @pytest.fixture(scope="module")
-def reuseport_fleet(library_dir):
-    if not _reuse_port_supported():
-        pytest.skip("platform has no SO_REUSEPORT")
+def fleet(library_dir):
     with ServerFleet(library_dir, workers=2, readers=2) as fleet:
         yield fleet
 
 
-@pytest.fixture(scope="module")
-def proxy_fleet(library_dir):
-    with ServerFleet(
-        library_dir, workers=2, readers=2, prefer_reuse_port=False
-    ) as fleet:
-        yield fleet
-
-
 class TestFleetParity:
-    """Fleet reads are byte-identical to direct library reads, both modes."""
+    """Fleet reads are byte-identical to direct library reads."""
 
-    @pytest.fixture(params=["reuseport_fleet", "proxy_fleet"])
-    def fleet(self, request):
-        return request.getfixturevalue(request.param)
-
-    def test_mode_and_records_reported(self, fleet, corpus):
-        assert fleet.mode in ("reuseport", "proxy")
+    def test_records_reported(self, fleet, corpus):
         assert fleet.records == len(corpus)
         assert fleet.alive_workers() == 2
 
@@ -67,7 +51,7 @@ class TestFleetParity:
 
     def test_sample_is_seed_deterministic_across_workers(self, fleet, corpus):
         """Every worker serves the same corpus, so a seeded sample must be
-        identical no matter which worker the kernel/proxy picks."""
+        identical no matter which worker the kernel picks."""
         draws = []
         for _ in range(4):  # several connections → several workers
             with CorpusClient(fleet.url, timeout=10.0) as client:
@@ -91,15 +75,8 @@ class TestFleetParity:
 
 
 class TestWorkerCrashSurvival:
-    @pytest.mark.parametrize("prefer_reuse_port", [True, False])
-    def test_survivors_serve_after_worker_kill(
-        self, library_dir, corpus, prefer_reuse_port
-    ):
-        if prefer_reuse_port and not _reuse_port_supported():
-            pytest.skip("platform has no SO_REUSEPORT")
-        with ServerFleet(
-            library_dir, workers=2, prefer_reuse_port=prefer_reuse_port
-        ) as fleet:
+    def test_survivors_serve_after_worker_kill(self, library_dir, corpus):
+        with ServerFleet(library_dir, workers=2) as fleet:
             with CorpusClient(fleet.url, timeout=10.0) as client:
                 assert client.get(0) == corpus[0]
             fleet.kill_worker(0)
@@ -111,22 +88,16 @@ class TestWorkerCrashSurvival:
                         corpus[0], corpus[5], corpus[9],
                     ]
 
-    def test_proxy_answers_busy_when_every_worker_is_dead(self, library_dir):
-        """The proxy front degrades to a typed, *retryable* 503 envelope."""
-        with ServerFleet(
-            library_dir, workers=2, prefer_reuse_port=False
-        ) as fleet:
+    def test_dead_fleet_is_a_retryable_connection_error(self, library_dir):
+        """With every worker dead the port refuses connections, which the
+        client reports as the error the failover clients retry on."""
+        with ServerFleet(library_dir, workers=2) as fleet:
             fleet.kill_worker(0)
             fleet.kill_worker(1)
-            client = CorpusClient(fleet.url, timeout=5.0)
-            with pytest.raises(ServerBusyError):
-                client.get(0)
-            # The classification the failover clients rely on:
-            try:
-                client.get(0)
-            except ServerBusyError as exc:
-                assert protocol.is_retryable(exc)
-            client.close()
+            with CorpusClient(fleet.url, timeout=5.0) as client:
+                with pytest.raises(ServerConnectionError) as exc_info:
+                    client.get(0)
+        assert protocol.is_retryable(exc_info.value)
 
 
 class TestFleetLifecycle:
@@ -146,6 +117,15 @@ class TestFleetLifecycle:
         fleet.start()
         fleet.stop()
         fleet.stop()
+
+    def test_platform_without_reuseport_cannot_host_a_fleet(
+        self, library_dir, monkeypatch
+    ):
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+        fleet = ServerFleet(library_dir, workers=1)
+        with pytest.raises(ServerError, match="SO_REUSEPORT"):
+            fleet.start()
+        assert fleet._processes == []
 
     def test_startup_failure_surfaces_as_server_error(self, tmp_path):
         with pytest.raises(ServerError, match="failed to start"):

@@ -1,21 +1,18 @@
 """Fleet-wide observability: one scrape sees every worker.
 
-The SO_REUSEPORT / proxy fleet used to answer ``/stats`` from whichever
-worker took the connection — a 2-worker fleet reported roughly half its
-own traffic.  These tests pin the fix: workers exchange admin ports at
-startup and the answering worker merges every live peer's snapshot, so
-``/stats`` and ``/metrics`` are deterministic regardless of which worker
-the kernel or proxy picks.
+The SO_REUSEPORT fleet used to answer ``/stats`` from whichever worker
+took the connection — a 2-worker fleet reported roughly half its own
+traffic.  These tests pin the fix: workers exchange admin ports at startup
+and the answering worker merges every live peer's snapshot, so ``/stats``
+and ``/metrics`` are deterministic regardless of which worker the kernel
+picks.
 """
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.server import CorpusClient, ServerFleet
-from repro.server.fleet import _reuse_port_supported
 
 
 def _spread_singles(url: str, indices) -> None:
@@ -25,29 +22,33 @@ def _spread_singles(url: str, indices) -> None:
             client.get(index)
 
 
+def _singles_per_worker(fleet: ServerFleet, count: int) -> None:
+    """*count* gets to every worker, each through that worker's admin port."""
+    for port in fleet.admin_ports:
+        with CorpusClient(f"http://127.0.0.1:{port}", timeout=10.0) as client:
+            for index in range(count):
+                client.get(index)
+
+
 class TestProxyFleetAggregation:
-    """Proxy mode round-robins fresh connections, so both workers serve."""
+    """Gets sent through each worker's admin port, so both workers serve."""
 
     def test_stats_sees_both_workers_traffic(self, library_dir, corpus):
-        with ServerFleet(
-            library_dir, workers=2, readers=2, prefer_reuse_port=False
-        ) as fleet:
+        with ServerFleet(library_dir, workers=2, readers=2) as fleet:
             assert len(fleet.admin_ports) == 2
-            _spread_singles(fleet.url, range(6))
+            _singles_per_worker(fleet, 3)
             with CorpusClient(fleet.url, timeout=10.0) as client:
                 payload = client.stats()
-        # Round-robin guarantees each worker served 3 of the 6 singles: an
-        # un-aggregated /stats (one arbitrary worker) could never report 6.
+        # Each worker served 3 of the 6 singles: an un-aggregated /stats
+        # (one arbitrary worker) could never report 6.
         assert payload["counters"]["single"] == 6
         assert payload["workers"] == 2
         assert payload["aggregated"] is True
         assert payload["records"] == len(corpus)
 
     def test_metrics_scrape_is_fleet_wide(self, library_dir):
-        with ServerFleet(
-            library_dir, workers=2, readers=2, prefer_reuse_port=False
-        ) as fleet:
-            _spread_singles(fleet.url, range(4))
+        with ServerFleet(library_dir, workers=2, readers=2) as fleet:
+            _singles_per_worker(fleet, 2)
             with CorpusClient(fleet.url, timeout=10.0) as client:
                 snapshot = client.metrics_snapshot()
                 text = client.metrics()
@@ -68,24 +69,20 @@ class TestProxyFleetAggregation:
         assert single_series and single_series[0]["count"] == 4
 
     def test_scope_local_opts_out_of_aggregation(self, library_dir):
-        with ServerFleet(
-            library_dir, workers=2, readers=2, prefer_reuse_port=False
-        ) as fleet:
-            _spread_singles(fleet.url, range(6))
-            with CorpusClient(fleet.url, timeout=10.0) as client:
+        with ServerFleet(library_dir, workers=2, readers=2) as fleet:
+            _singles_per_worker(fleet, 3)
+            admin_url = f"http://127.0.0.1:{fleet.admin_ports[0]}"
+            with CorpusClient(admin_url, timeout=10.0) as client:
                 _, body = client._call("GET", "/stats?scope=local")
                 local = json.loads(body)
-        # One worker on its own saw only its share of the round-robin.
-        assert local["counters"]["single"] < 6
+        # One worker on its own saw only its own 3 singles.
+        assert local["counters"]["single"] == 3
         assert "aggregated" not in local
 
 
 class TestReuseportFleetAggregation:
     def test_stats_deterministic_whichever_worker_answers(self, library_dir):
-        if not _reuse_port_supported():
-            pytest.skip("platform has no SO_REUSEPORT")
         with ServerFleet(library_dir, workers=2, readers=2) as fleet:
-            assert fleet.mode == "reuseport"
             assert len(fleet.admin_ports) == 2
             _spread_singles(fleet.url, range(8))
             # However the kernel spread those connections, the aggregated

@@ -159,9 +159,9 @@ class TestCliSurface:
         assert captured.out.splitlines() == [corpus[40], corpus[41]]
         assert "quarantine: 0 blocks, 0 hits" in captured.err
 
-    def test_query_of_corrupt_block_raises_typed_error(self, damaged_library):
-        with pytest.raises(BlockCorruptionError):
-            cli_main(["query", str(damaged_library), str(RECORDS_PER_BLOCK)])
+    def test_query_of_corrupt_block_raises_typed_error(self, damaged_library, capsys):
+        assert cli_main(["query", str(damaged_library), str(RECORDS_PER_BLOCK)]) == 1
+        assert "checksum mismatch" in capsys.readouterr().err
 
     def test_fsck_cli_detects_and_repairs(
         self, damaged_library, pristine_library, capsys

@@ -325,17 +325,18 @@ class TestComposeCommand:
         assert len(lines) == 3
         assert lines[0] == lines[1]  # record 0 of copy A == record 0 of copy B
 
-    def test_compose_rejects_outside_root(self, workspace, tmp_path):
+    def test_compose_rejects_outside_root(self, workspace, tmp_path, capsys):
         directory, library, dictionary, _ = workspace
         packed = tmp_path / "inner" / "a.library"
         assert main([
             "pack", str(library), "-d", str(dictionary), "-o", str(packed),
             "--shards", "1",
         ]) == 0
-        from repro.errors import ManifestError
-
-        with pytest.raises(ManifestError):
-            main(["compose", str(packed), "-o", str(tmp_path / "elsewhere")])
+        capsys.readouterr()
+        assert main(["compose", str(packed), "-o", str(tmp_path / "elsewhere")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "is not under the composed library root" in err
 
 
 class TestQueryVerbose:
@@ -377,3 +378,30 @@ class TestGenerateAndExperiment:
         out = capsys.readouterr().out
         assert "Table I" in out
         assert "SMILES alphabet" in out
+
+
+class TestErrorReporting:
+    """A failing command prints one ``error:`` line and exits 1, with no
+    traceback."""
+
+    def test_invalid_jobs(self, workspace, tmp_path, capsys):
+        _, library, dictionary, _ = workspace
+        assert main([
+            "compress", str(library), "-d", str(dictionary),
+            "-o", str(tmp_path / "out.zsmi"), "--jobs", "0",
+        ]) == 1
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+
+    def test_output_that_is_the_input(self, workspace, capsys):
+        _, library, dictionary, _ = workspace
+        before = library.read_bytes()
+        assert main(["compress", str(library), "-d", str(dictionary), "-o", str(library)]) == 1
+        assert capsys.readouterr().err == f"error: output {library} is the input file\n"
+        assert library.read_bytes() == before
+
+    def test_missing_corpus(self, tmp_path, capsys):
+        missing = tmp_path / "missing.zss"
+        assert main(["query", str(missing), "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot open {missing} as a corpus library")
+        assert err.count("\n") == 1

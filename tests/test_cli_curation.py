@@ -9,7 +9,6 @@ import pytest
 from repro.cli import main
 from repro.core.streaming import read_lines
 from repro.curation import DictionaryIdentity, load_verified
-from repro.errors import CurationError
 from repro.library import CorpusLibrary
 
 
@@ -130,10 +129,12 @@ class TestRepack:
         with CorpusLibrary.open(library) as source_library:
             assert migrated == list(source_library.iter_all())
 
-    def test_same_directory_repack_fails(self, packed):
+    def test_same_directory_repack_fails(self, packed, capsys):
         _, _, library, dict_b = packed
-        with pytest.raises(CurationError):
-            main(["repack", str(library), "-o", str(library), "-d", str(dict_b)])
+        assert main(
+            ["repack", str(library), "-o", str(library), "-d", str(dict_b)]
+        ) == 1
+        assert "repack destination must be a different directory" in capsys.readouterr().err
 
     def test_bad_shard_jobs_rejected(self, packed):
         directory, _, library, dict_b = packed
